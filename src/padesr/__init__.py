@@ -9,10 +9,9 @@ are computed symbolically on the flat token arrays, without expression trees.
 from .symdiff import (
     DerivativeOrderError,
     differentiate,
-    second_derivative,
     simplify,
 )
-from .evaluate import Dataset, EvalError, GaussianIc, Grid, eval_grid, eval_point
+from .evaluate import Dataset, EvalError, GaussianIc, Grid, eval_grid
 from .expr import (
     Alphabet,
     Expr,
@@ -36,22 +35,17 @@ from .pde import (
     MseBreakdown,
     ObjectiveConfig,
     PdeCase,
-    boundary_mse,
     build_case,
     case_alphabet,
     initial_mse,
-    interior_mse,
-    nontriviality_gate,
     objective,
 )
 from .search import (
-    MctsParams,
     SearchConfig,
     SearchResult,
     SharedState,
     fit_constants,
     run_search,
-    select_action_cmcts,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,6 +1,7 @@
 """Command-line surface: search, evaluate, diff, and the configuration sweep.
 
-Exit codes: 0 on success, 2 on usage or parse errors.  Reports are flat
+Exit codes: 0 on success, 2 on usage or parse errors, including option values
+that :class:`~padesr.search.SearchConfig` rejects.  Reports are flat
 UTF-8 ``key=value`` blocks; sweep output is a CSV whose columns mirror the
 best-configuration tables (rank, algorithm, depth, notation, MSE, token-set
 flags).  ``PADESR_THREADS`` supplies the default worker count.
@@ -9,6 +10,7 @@ flags).  ``PADESR_THREADS`` supplies the default worker count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -59,6 +61,8 @@ def _parse_mesh(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("mesh must be nx,ny,nt")
     nx, ny, nt = (int(p) for p in parts)
+    if min(nx, ny, nt) < 2:
+        raise argparse.ArgumentTypeError("each mesh axis needs at least 2 points")
     return nx, ny, nt
 
 
@@ -234,16 +238,20 @@ def _cmd_search(args) -> int:
     if missing:
         print(f"error: missing required options: {', '.join(missing)}", file=sys.stderr)
         return 2
-    mesh = merged.get("mesh", "10,10,10")
-    if isinstance(mesh, str):
-        mesh = _parse_mesh(mesh)
-    threshold = merged.get("threshold")
-    obj = ObjectiveConfig(
-        threshold=float(threshold) if threshold is not None else ObjectiveConfig().threshold,
-        mesh=mesh,
-    )
+    try:
+        mesh = merged.get("mesh", "10,10,10")
+        if isinstance(mesh, str):
+            mesh = _parse_mesh(mesh)
+        threshold = merged.get("threshold")
+        obj = ObjectiveConfig(
+            threshold=float(threshold) if threshold is not None else ObjectiveConfig().threshold,
+            mesh=mesh,
+        )
+        notation = Notation(merged["notation"])
+    except (argparse.ArgumentTypeError, ValueError) as err:
+        print(f"error: bad option value: {err}", file=sys.stderr)
+        return 2
     case, data = build_case(merged["case"], mesh)
-    notation = Notation(merged["notation"])
     seed_expr = None
     if merged.get("seed-expr"):
         alphabet = case_alphabet(case, "vars+const+opt")
@@ -263,13 +271,10 @@ def _cmd_search(args) -> int:
             seed=int(merged.get("seed", 0)),
             objective=obj,
             seed_expr=seed_expr,
-            max_evals=int(merged["max-evals"]) if merged.get("max-evals") else None,
+            max_evals=int(merged["max-evals"]) if "max-evals" in merged else None,
         )
     except (TypeError, ValueError) as err:
         print(f"error: bad option value: {err}", file=sys.stderr)
-        return 2
-    if config.algorithm not in ALGORITHMS or config.token_mode not in TOKEN_MODES:
-        print("error: unknown algorithm or token set", file=sys.stderr)
         return 2
     result = run_search(config, case, data)
     text = "\n".join(report_lines(result, merged["case"])) + "\n"
@@ -344,43 +349,41 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    notations = [Notation(n.strip()) for n in args.notations.split(",") if n.strip()]
-    token_sets = [t.strip() for t in args.token_sets.split(",") if t.strip()]
-    for a in algos:
-        if a not in ALGORITHMS:
-            print(f"error: unknown algorithm {a!r}", file=sys.stderr)
-            return 2
-    for t in token_sets:
-        if t not in TOKEN_MODES:
-            print(f"error: unknown token set {t!r}", file=sys.stderr)
-            return 2
+    def names(text: str) -> list[str]:
+        return [name.strip() for name in text.split(",") if name.strip()]
+
     lo, hi = args.depths
-    depths = range(lo, hi + 1)
+    grid = itertools.product(names(args.algos), names(args.notations), range(lo, hi + 1),
+                             names(args.token_sets))
     threads = args.threads if args.threads is not None else _default_threads()
-    case, data = build_case(args.case, args.mesh)
     obj = ObjectiveConfig(mesh=args.mesh)
+    try:
+        configs = [
+            SearchConfig(
+                algorithm=algo,
+                depth=depth,
+                notation=Notation(notation),
+                token_mode=mode,
+                threads=threads,
+                time_budget=args.time_per_config,
+                seed=_stable_sweep_seed(args.seed, index),
+                objective=obj,
+                max_evals=args.max_evals,
+            )
+            for index, (algo, notation, depth, mode) in enumerate(grid)
+        ]
+    except ValueError as err:
+        print(f"error: bad option value: {err}", file=sys.stderr)
+        return 2
+    if not configs:
+        print("error: the sweep selects no configuration", file=sys.stderr)
+        return 2
+    case, data = build_case(args.case, args.mesh)
     rows = []
-    index = 0
-    for algo in algos:
-        for notation in notations:
-            for depth in depths:
-                for mode in token_sets:
-                    config = SearchConfig(
-                        algorithm=algo,
-                        depth=depth,
-                        notation=notation,
-                        token_mode=mode,
-                        threads=threads,
-                        time_budget=args.time_per_config,
-                        seed=_stable_sweep_seed(args.seed, index),
-                        objective=obj,
-                        max_evals=args.max_evals,
-                    )
-                    result = run_search(config, case, data)
-                    total = math.inf if result.empty else result.breakdown.total
-                    rows.append((total, algo, depth, notation, mode))
-                    index += 1
+    for config in configs:
+        result = run_search(config, case, data)
+        total = math.inf if result.empty else result.breakdown.total
+        rows.append((total, config.algorithm, config.depth, config.notation, config.token_mode))
     rows.sort(key=lambda r: (r[0], ALGORITHM_LABELS[r[1]], r[2], r[3].value, r[4]))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")

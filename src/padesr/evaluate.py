@@ -57,17 +57,6 @@ class GaussianIc:
             return 4.0 * dx * dy * g
         raise ValueError(f"unsupported derivative order {key}")
 
-    def leaf_values(self, x: float, y: float) -> dict[str, float]:
-        """Point values of the whole stored family, keyed by token spelling."""
-        return {
-            "I": float(self.value(x, y)),
-            "I_x": float(self.derivative(1, 0, x, y)),
-            "I_y": float(self.derivative(0, 1, x, y)),
-            "I_xx": float(self.derivative(2, 0, x, y)),
-            "I_yy": float(self.derivative(0, 2, x, y)),
-            "I_xy": float(self.derivative(1, 1, x, y)),
-        }
-
 
 _IC_SPELLINGS = {"I": (0, 0), "I_x": (1, 0), "I_y": (0, 1),
                  "I_xx": (2, 0), "I_yy": (0, 2), "I_xy": (1, 1)}
@@ -129,7 +118,7 @@ def linspace_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operator semantics (shared by grid, point, and constant-folding paths)
+# operator semantics (shared by grid evaluation and constant folding)
 
 
 def _op_log(a):
@@ -216,13 +205,16 @@ def _compile(e: Expr) -> list[tuple]:
     return program
 
 
-def _run(program, leaf_lookup, consts):
+def _run(program, leaf, consts):
     stack: list = []
     push = stack.append
     with np.errstate(all="ignore"):
         for code, arg in program:
             if code == _LEAF:
-                push(leaf_lookup(arg))
+                try:
+                    push(leaf[arg])
+                except KeyError:
+                    raise EvalError(f"dataset has no grid for leaf {arg!r}") from None
             elif code == _LIT:
                 push(arg)
             elif code == _CONST:
@@ -242,36 +234,8 @@ def _run(program, leaf_lookup, consts):
 
 def eval_grid(e: Expr, data: Dataset, consts: Optional[Sequence[float]] = None) -> Grid:
     """Evaluate over every mesh point of ``data`` in one stack scan."""
-
-    def leaf_lookup(text: str):
-        try:
-            return data.leaf[text]
-        except KeyError:
-            raise EvalError(f"dataset has no grid for leaf {text!r}") from None
-
-    values = _run(_compile(e), leaf_lookup, consts)
+    values = _run(_compile(e), data.leaf, consts)
     if np.ndim(values) == 0:
         values = np.full(data.n, float(values))
     fault = not bool(np.isfinite(values).all())
     return Grid(values, fault)
-
-
-def eval_point(
-    e: Expr,
-    x: float,
-    y: float,
-    t: float,
-    ic_values: Optional[Mapping[str, float]] = None,
-    consts: Optional[Sequence[float]] = None,
-) -> float:
-    """Scalar analog of :func:`eval_grid`; faults come back as NaN."""
-    point = {"x": np.float64(x), "y": np.float64(y), "t": np.float64(t)}
-
-    def leaf_lookup(text: str):
-        if text in point:
-            return point[text]
-        if ic_values is not None and text in ic_values:
-            return np.float64(ic_values[text])
-        raise EvalError(f"no value supplied for leaf {text!r}")
-
-    return float(_run(_compile(e), leaf_lookup, consts))

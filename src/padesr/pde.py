@@ -9,6 +9,8 @@ threshold are rejected with an infinite total, which blocks constant
 ``ObjectiveConfig.ic_derivatives`` selects how the initial-condition feature
 ``I`` is differentiated (see :mod:`padesr.symdiff`); every derivative the
 objective takes, first and second order, uses that one reading.
+:func:`objective` is the one scoring pass: its :class:`MseBreakdown` carries
+every component and the gate decision.
 """
 
 from __future__ import annotations
@@ -209,52 +211,6 @@ def _mean_abs(values: np.ndarray) -> float:
         return float(np.mean(np.abs(values)))
 
 
-def _first_derivatives(T: Expr, ic_derivatives: str) -> dict[str, Expr]:
-    return {v: differentiate(T, v, ic_derivatives) for v in ("x", "y", "t")}
-
-
-def _interior_from_first(
-    T: Expr,
-    case: PdeCase,
-    data: Dataset,
-    consts,
-    first: dict[str, Expr],
-    grids: dict[str, np.ndarray],
-    ic_derivatives: str,
-) -> float:
-    try:
-        d_xx = differentiate(first["x"], "x", ic_derivatives)
-        d_yy = differentiate(first["y"], "y", ic_derivatives)
-    except DerivativeOrderError:
-        return math.inf
-    g_xx = eval_grid(d_xx, data, consts)
-    g_yy = eval_grid(d_yy, data, consts)
-    residual = (
-        grids["t"]
-        + case.ux_grid * grids["x"]
-        + case.uy_grid * grids["y"]
-        - case.kappa * (g_xx.values + g_yy.values)
-    )
-    return _mean_square(residual)
-
-
-def interior_mse(
-    T: Expr,
-    case: PdeCase,
-    data: Dataset,
-    consts: Optional[Sequence[float]] = None,
-    ic_derivatives: str = "analytic",
-) -> float:
-    """Mean squared PDE residual T_t + ux*T_x + uy*T_y - kappa*(T_xx + T_yy)
-    over the interior mesh; any fault or unsupported derivative gives inf."""
-    try:
-        first = _first_derivatives(T, ic_derivatives)
-    except DerivativeOrderError:
-        return math.inf
-    grids = {v: eval_grid(first[v], data, consts).values for v in ("x", "y", "t")}
-    return _interior_from_first(T, case, data, consts, first, grids, ic_derivatives)
-
-
 def _boundary_term(
     T: Expr,
     case: PdeCase,
@@ -271,46 +227,12 @@ def _boundary_term(
     return _mean_square(lo.values - hi.values)
 
 
-def boundary_mse(
-    T: Expr,
-    case: PdeCase,
-    data: Dataset,
-    consts: Optional[Sequence[float]] = None,
-    ic_derivatives: str = "analytic",
-) -> list[float]:
-    """One MSE per configured boundary condition, in case order."""
-    try:
-        first = _first_derivatives(T, ic_derivatives)
-    except DerivativeOrderError:
-        return [math.inf for _ in case.bcs]
-    return [_boundary_term(T, case, bc, consts, first) for bc in case.bcs]
-
-
 def initial_mse(
     T: Expr, case: PdeCase, data: Dataset, consts: Optional[Sequence[float]] = None
 ) -> float:
     """Mean of (T - I)^2 over the (x, y) plane at t = t_lo."""
     g = eval_grid(T, case.ic_plane, consts)
     return _mean_square(g.values - case.ic_plane.leaf["I"])
-
-
-def nontriviality_gate(
-    T: Expr,
-    data: Dataset,
-    consts: Optional[Sequence[float]] = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    ic_derivatives: str = "analytic",
-) -> bool:
-    """True when mean(|dT/dv|) >= threshold for all of x, y, t (faults reject)."""
-    try:
-        first = _first_derivatives(T, ic_derivatives)
-    except DerivativeOrderError:
-        return False
-    for v in ("x", "y", "t"):
-        g = eval_grid(first[v], data, consts)
-        if g.fault or _mean_abs(g.values) < threshold:
-            return False
-    return True
 
 
 def objective(
@@ -320,21 +242,43 @@ def objective(
     consts: Optional[Sequence[float]] = None,
     config: Optional[ObjectiveConfig] = None,
 ) -> MseBreakdown:
-    """Gate first, then the unweighted sum interior + boundaries + initial."""
+    """Gate first, then the unweighted sum interior + boundaries + initial.
+
+    The gate rejects ``T`` when mean(|dT/dv|) falls below the threshold, or
+    the derivative grid faults, for any of v = x, y, t.  The interior term is
+    the mean squared residual T_t + ux*T_x + uy*T_y - kappa*(T_xx + T_yy)
+    over ``data``; the boundary terms follow ``case.bcs``; the initial term is
+    :func:`initial_mse`.  An unsupported first derivative rejects ``T`` with a
+    note; a fault, or an unsupported second derivative, makes its component
+    infinite.
+    """
     cfg = config or ObjectiveConfig()
     try:
-        first = _first_derivatives(T, cfg.ic_derivatives)
+        first = {v: differentiate(T, v, cfg.ic_derivatives) for v in ("x", "y", "t")}
     except DerivativeOrderError as err:
         return MseBreakdown.rejected(str(err))
+    # the gate tests x, y, t in this order and stops at the first miss
     grids: dict[str, np.ndarray] = {}
     for v in ("x", "y", "t"):
         g = eval_grid(first[v], data, consts)
         if g.fault or _mean_abs(g.values) < cfg.threshold:
             return MseBreakdown.rejected()
         grids[v] = g.values
-    interior = _interior_from_first(
-        T, case, data, consts, first, grids, cfg.ic_derivatives
-    )
+    try:
+        d_xx = differentiate(first["x"], "x", cfg.ic_derivatives)
+        d_yy = differentiate(first["y"], "y", cfg.ic_derivatives)
+    except DerivativeOrderError:
+        interior = math.inf
+    else:
+        g_xx = eval_grid(d_xx, data, consts)
+        g_yy = eval_grid(d_yy, data, consts)
+        residual = (
+            grids["t"]
+            + case.ux_grid * grids["x"]
+            + case.uy_grid * grids["y"]
+            - case.kappa * (g_xx.values + g_yy.values)
+        )
+        interior = _mean_square(residual)
     boundary = tuple(_boundary_term(T, case, bc, consts, first) for bc in case.bcs)
     initial = initial_mse(T, case, data, consts)
     total = interior

@@ -31,9 +31,7 @@ from .expr import (
     span_at,
     token_path_depths,
 )
-from .pde import MseBreakdown, ObjectiveConfig, PdeCase, case_alphabet, objective
-
-ALGORITHMS = ("rs", "mcts", "cmcts", "pso", "gp", "sa")
+from .pde import TOKEN_MODES, MseBreakdown, ObjectiveConfig, PdeCase, case_alphabet, objective
 
 
 def _mix(seed: int, salt: int) -> int:
@@ -48,48 +46,31 @@ def _key_salt(key: str) -> int:
     return zlib.crc32(key.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class MctsParams:
-    c_initial: float = 1.4
-    stall_iters: int = 500  # 1000 for the concurrent variant
-    c_increment: float = 1.4
-    c_reset: float = 1.4
+# Search constants.  MCTS: the UCT exploration constant starts at UCT_C,
+# grows by UCT_C after the stall count of iterations without a new global
+# best, and drops back to UCT_C on one.
+UCT_C = 1.4
+MCTS_STALL_ITERS = {"mcts": 500, "cmcts": 1000}
 
+# Particle swarm, shared by the PSO search and the constant fit.
+PSO_INERTIA = 0.7
+PSO_COGNITIVE = 1.5
+PSO_SOCIAL = 1.5
+PSO_INIT_RANGE = 10.0
+PSO_SWARM = 50
+PSO_DIM_CAP = 2047  # particle components wrap beyond this length
+CONST_FIT_SWARM = 20
+CONST_FIT_ITERATIONS = 5
 
-@dataclass(frozen=True)
-class PsoParams:
-    swarm: int = 50
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    init_range: float = 10.0
-    dim_cap: int = 2047  # particle components wrap beyond this length
+GP_POPULATION = 200
+GP_CHILDREN = 200  # pool after crossover/mutation ~= 2x population
+GP_CROSSOVER_PROB = 0.7
+GP_PAIR_RETRIES = 20
 
-
-@dataclass(frozen=True)
-class GpParams:
-    population: int = 200
-    children: int = 200  # pool after crossover/mutation ~= 2x population
-    crossover_prob: float = 0.7
-    pair_retries: int = 20
-
-
-@dataclass(frozen=True)
-class SaParams:
-    temp_initial: float = 1.0
-    cooling: float = 0.999
-    temp_floor: float = 1e-6
-    stall_reheat: int = 2000
-
-
-@dataclass(frozen=True)
-class ConstFitParams:
-    swarm: int = 20
-    iterations: int = 5
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    init_range: float = 10.0
+SA_TEMP_INITIAL = 1.0
+SA_COOLING = 0.999
+SA_TEMP_FLOOR = 1e-6
+SA_STALL_REHEAT = 2000
 
 
 @dataclass(frozen=True)
@@ -105,16 +86,20 @@ class SearchConfig:
     seed_expr: Optional[Expr] = None
     max_evals: Optional[int] = None  # evaluation cap; makes runs reproducible
     stop_below: Optional[float] = None
-    mcts: Optional[MctsParams] = None
-    pso: PsoParams = field(default_factory=PsoParams)
-    gp: GpParams = field(default_factory=GpParams)
-    sa: SaParams = field(default_factory=SaParams)
-    const_fit: ConstFitParams = field(default_factory=ConstFitParams)
 
-    def resolved_mcts(self) -> MctsParams:
-        if self.mcts is not None:
-            return self.mcts
-        return MctsParams(stall_iters=1000 if self.algorithm == "cmcts" else 500)
+    def __post_init__(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.token_mode not in TOKEN_MODES:
+            raise ValueError(f"unknown token mode {self.token_mode!r}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not self.time_budget > 0:
+            raise ValueError(f"time budget must be positive, got {self.time_budget}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        if self.max_evals is not None and self.max_evals < 0:
+            raise ValueError(f"max_evals must be >= 0, got {self.max_evals}")
 
 
 @dataclass(frozen=True)
@@ -183,42 +168,57 @@ class SharedState:
             self.const_cache[key] = (consts, total)
 
 
+class Swarm:
+    """Particle swarm with the global best updated after every particle.
+
+    Positions are drawn at construction.  Each :meth:`step` scores one
+    particle in turn: during the first pass where it was drawn, afterwards
+    after one velocity update.
+    """
+
+    def __init__(self, dim: int, size: int, rng: random.Random):
+        self.rng = rng
+        self.pos = [[rng.uniform(-PSO_INIT_RANGE, PSO_INIT_RANGE) for _ in range(dim)]
+                    for _ in range(size)]
+        self.vel = [[0.0] * dim for _ in range(size)]
+        self.pbest = [list(p) for p in self.pos]
+        self.pbest_f = [math.inf] * size
+        self.gbest, self.gbest_f = list(self.pos[0]), math.inf
+        self.steps = 0
+
+    def step(self, fn: Callable[[Sequence[float]], float]) -> None:
+        i = self.steps % len(self.pos)
+        p = self.pos[i]
+        if self.steps >= len(self.pos):
+            v, pb, g, rng = self.vel[i], self.pbest[i], self.gbest, self.rng
+            for j in range(len(p)):
+                r1, r2 = rng.random(), rng.random()
+                v[j] = (
+                    PSO_INERTIA * v[j]
+                    + PSO_COGNITIVE * r1 * (pb[j] - p[j])
+                    + PSO_SOCIAL * r2 * (g[j] - p[j])
+                )
+                p[j] += v[j]
+        self.steps += 1
+        f = fn(p)
+        if f < self.pbest_f[i]:
+            self.pbest[i] = list(p)
+            self.pbest_f[i] = f
+            if f < self.gbest_f:
+                self.gbest, self.gbest_f = list(p), f
+
+
 def pso_minimize(
     fn: Callable[[Sequence[float]], float],
     dim: int,
     rng: random.Random,
-    swarm: int,
-    iterations: int,
-    inertia: float,
-    cognitive: float,
-    social: float,
-    init_range: float,
 ) -> tuple[list[float], float]:
-    """Plain particle-swarm minimization of a black-box function."""
-    pos = [[rng.uniform(-init_range, init_range) for _ in range(dim)] for _ in range(swarm)]
-    vel = [[0.0] * dim for _ in range(swarm)]
-    pbest = [list(p) for p in pos]
-    pbest_f = [fn(p) for p in pos]
-    g_idx = min(range(swarm), key=lambda i: (pbest_f[i], i))
-    gbest, gbest_f = list(pbest[g_idx]), pbest_f[g_idx]
-    for _ in range(iterations):
-        for i in range(swarm):
-            v, p, pb = vel[i], pos[i], pbest[i]
-            for j in range(dim):
-                r1, r2 = rng.random(), rng.random()
-                v[j] = (
-                    inertia * v[j]
-                    + cognitive * r1 * (pb[j] - p[j])
-                    + social * r2 * (gbest[j] - p[j])
-                )
-                p[j] += v[j]
-            f = fn(p)
-            if f < pbest_f[i]:
-                pbest[i] = list(p)
-                pbest_f[i] = f
-                if f < gbest_f:
-                    gbest, gbest_f = list(p), f
-    return gbest, gbest_f
+    """Particle-swarm minimization of a black-box function: one scoring pass
+    over the drawn swarm, then ``CONST_FIT_ITERATIONS`` passes of updates."""
+    s = Swarm(dim, CONST_FIT_SWARM, rng)
+    for _ in range(CONST_FIT_SWARM * (CONST_FIT_ITERATIONS + 1)):
+        s.step(fn)
+    return s.gbest, s.gbest_f
 
 
 def fit_constants(
@@ -239,46 +239,48 @@ def fit_constants(
     cached = shared.cache_get(key)
     if cached is not None:
         return cached[0]
-    p = config.const_fit
     rng = random.Random(_mix(config.seed, _key_salt(key)))
 
     def score(vector: Sequence[float]) -> float:
         return objective(e, case, data, vector, config.objective).total
 
-    best, best_f = pso_minimize(
-        score, e.n_slots, rng,
-        swarm=p.swarm, iterations=p.iterations, inertia=p.inertia,
-        cognitive=p.cognitive, social=p.social, init_range=p.init_range,
-    )
+    best, best_f = pso_minimize(score, e.n_slots, rng)
     consts = tuple(best)
     shared.cache_put(key, consts, best_f)
     return consts
 
 
-def select_action_cmcts(
+def select_action(
     state_key: str,
     legal: Sequence[Token],
-    shared: SharedState,
+    visits: dict[str, int],
+    action_visits: dict[tuple[str, str], int],
+    action_value: dict[tuple[str, str], float],
     c: float,
-    rng: random.Random,
-) -> Token:
-    """Uniform random among unvisited actions, else UCT argmax (ties: lowest index)."""
-    unvisited = [tok for tok in legal if shared.action_visits.get((state_key, tok.text), 0) == 0]
+    rng: Optional[random.Random] = None,
+) -> tuple[Token, bool]:
+    """UCT selection; returns the action and whether it was unvisited.
+
+    Unvisited actions come first: the first one in ``legal`` order, or, when
+    ``rng`` is given (concurrent MCTS) and several remain, a uniform random
+    one.  Otherwise the UCT argmax, ties going to the lowest index.
+    """
+    unvisited = [tok for tok in legal if action_visits.get((state_key, tok.text), 0) == 0]
     if unvisited:
-        if len(unvisited) == 1:
-            return unvisited[0]
-        return unvisited[rng.randrange(len(unvisited))]
-    n_state = max(shared.visits.get(state_key, 0), 1)
+        if rng is None or len(unvisited) == 1:
+            return unvisited[0], True
+        return unvisited[rng.randrange(len(unvisited))], True
+    n_state = max(visits.get(state_key, 0), 1)
     best_tok = legal[0]
     best_score = -math.inf
     for tok in legal:
-        n = shared.action_visits[(state_key, tok.text)]
-        q = shared.action_value.get((state_key, tok.text), 0.0)
+        n = action_visits[(state_key, tok.text)]
+        q = action_value.get((state_key, tok.text), 0.0)
         score = q / n + c * math.sqrt(math.log(n_state) / n)
         if score > best_score:
             best_score = score
             best_tok = tok
-    return best_tok
+    return best_tok, False
 
 
 # ---------------------------------------------------------------------------
@@ -362,55 +364,35 @@ def _rollout(rng, ctx: _RunContext, partial: list[Token]) -> Expr:
         toks.append(legal[rng.randrange(len(legal))])
 
 
-def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer, concurrent: bool) -> None:
+def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer) -> None:
     cfg = ctx.config
-    params = cfg.resolved_mcts()
     shared = ctx.shared
+    concurrent = cfg.algorithm == "cmcts"
     if concurrent:
-        visits, action_visits, action_value = (
-            shared.visits, shared.action_visits, shared.action_value,
-        )
+        stats = (shared.visits, shared.action_visits, shared.action_value)
     else:
-        visits, action_visits, action_value = {}, {}, {}
-    c = params.c_initial
+        stats = ({}, {}, {})
+    visits, action_visits, action_value = stats
+    stall_iters = MCTS_STALL_ITERS[cfg.algorithm]
+    c = UCT_C
     stall = 0
     last_best = math.inf
-
-    def uct_select(state_key: str, legal: list[Token]) -> Optional[Token]:
-        unvisited = [t for t in legal if action_visits.get((state_key, t.text), 0) == 0]
-        if unvisited:
-            if not concurrent or len(unvisited) == 1:
-                return unvisited[0]
-            return unvisited[rng.randrange(len(unvisited))]
-        return None
-
     while ctx.keep_going():
         partial: list[Token] = []
         state_key = ""
         path: list[tuple[str, str]] = []
-        expr: Optional[Expr] = None
         while True:
             legal = legal_tokens(partial, cfg.notation, cfg.depth, ctx.alphabet)
             if not legal:
                 expr = make_expr(partial, cfg.notation, cfg.depth)
                 break
-            tok = uct_select(state_key, legal)
-            if tok is not None:
-                path.append((state_key, tok.text))
-                partial.append(tok)
+            tok, expand = select_action(state_key, legal, *stats, c, rng if concurrent else None)
+            path.append((state_key, tok.text))
+            partial.append(tok)
+            if expand:
                 expr = _rollout(rng, ctx, partial)
                 break
-            n_state = max(visits.get(state_key, 0), 1)
-            best_tok, best_score = legal[0], -math.inf
-            for cand in legal:
-                n = action_visits[(state_key, cand.text)]
-                q = action_value.get((state_key, cand.text), 0.0)
-                score = q / n + c * math.sqrt(math.log(n_state) / n)
-                if score > best_score:
-                    best_score, best_tok = score, cand
-            path.append((state_key, best_tok.text))
-            partial.append(best_tok)
-            state_key = best_tok.text if not state_key else f"{state_key} {best_tok.text}"
+            state_key = tok.text if not state_key else f"{state_key} {tok.text}"
         breakdown = scorer.score(expr)
         reward = 1.0 / (1.0 + breakdown.total)
         for skey, atext in path:
@@ -420,12 +402,12 @@ def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer, concurrent: bool) -> None:
         best_now = shared.best_total
         if best_now < last_best:
             last_best = best_now
-            c = params.c_reset
+            c = UCT_C
             stall = 0
         else:
             stall += 1
-            if stall >= params.stall_iters:
-                c += params.c_increment
+            if stall >= stall_iters:
+                c += UCT_C
                 stall = 0
 
 
@@ -443,49 +425,22 @@ def _decode_particle(vector: Sequence[float], ctx: _RunContext) -> Expr:
 
 
 def _run_pso(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    cfg = ctx.config
-    p = cfg.pso
-    dim = min(2 ** (cfg.depth + 1) - 1, p.dim_cap)
-    pos = [[rng.uniform(-p.init_range, p.init_range) for _ in range(dim)]
-           for _ in range(p.swarm)]
-    vel = [[0.0] * dim for _ in range(p.swarm)]
-    pbest = [list(x) for x in pos]
-    pbest_f = [math.inf] * p.swarm
-    gbest, gbest_f = list(pos[0]), math.inf
-    for i in range(p.swarm):
-        if not ctx.keep_going():
-            return
-        f = scorer.score(_decode_particle(pos[i], ctx)).total
-        pbest_f[i] = f
-        if f < gbest_f:
-            gbest, gbest_f = list(pos[i]), f
+    swarm = Swarm(min(2 ** (ctx.config.depth + 1) - 1, PSO_DIM_CAP), PSO_SWARM, rng)
+
+    def score(vector: Sequence[float]) -> float:
+        return scorer.score(_decode_particle(vector, ctx)).total
+
     while ctx.keep_going():
-        for i in range(p.swarm):
-            if not ctx.keep_going():
-                return
-            v, x, pb = vel[i], pos[i], pbest[i]
-            for j in range(dim):
-                r1, r2 = rng.random(), rng.random()
-                v[j] = (p.inertia * v[j] + p.cognitive * r1 * (pb[j] - x[j])
-                        + p.social * r2 * (gbest[j] - x[j]))
-                x[j] += v[j]
-            f = scorer.score(_decode_particle(x, ctx)).total
-            if f < pbest_f[i]:
-                pbest[i] = list(x)
-                pbest_f[i] = f
-                if f < gbest_f:
-                    gbest, gbest_f = list(x), f
+        swarm.step(score)
 
 
 def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    cfg = ctx.config
-    p = cfg.gp
-    budget = cfg.depth
+    budget = ctx.config.depth
 
     def crossover(a: Expr, b: Expr) -> tuple[Expr, Expr]:
         pd_a = token_path_depths(a.tokens, a.notation)
         pd_b = token_path_depths(b.tokens, b.notation)
-        for _ in range(p.pair_retries):
+        for _ in range(GP_PAIR_RETRIES):
             ia = rng.randrange(len(a.tokens))
             ib = rng.randrange(len(b.tokens))
             sa = span_at(a.tokens, ia, a.notation)
@@ -510,7 +465,7 @@ def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
 
     population: list[tuple[float, int, Expr]] = []
     counter = 0
-    for _ in range(p.population):
+    for _ in range(GP_POPULATION):
         if not ctx.keep_going():
             return
         e = _random_expr(rng, ctx)
@@ -518,8 +473,8 @@ def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
         counter += 1
     while ctx.keep_going():
         children: list[Expr] = []
-        while len(children) < p.children and ctx.keep_going():
-            if rng.random() < p.crossover_prob:
+        while len(children) < GP_CHILDREN and ctx.keep_going():
+            if rng.random() < GP_CROSSOVER_PROB:
                 _, _, pa = population[rng.randrange(len(population))]
                 _, _, pb = population[rng.randrange(len(population))]
                 children.extend(crossover(pa, pb))
@@ -532,12 +487,11 @@ def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
             population.append((scorer.score(child).total, counter, child))
             counter += 1
         population.sort(key=lambda item: (item[0], item[1]))
-        del population[p.population:]
+        del population[GP_POPULATION:]
 
 
 def _run_sa(rng, ctx: _RunContext, scorer: _Scorer) -> None:
     cfg = ctx.config
-    p = cfg.sa
     if cfg.seed_expr is not None:
         budget = max(cfg.depth, cfg.seed_expr.depth)
         current = make_expr(cfg.seed_expr.tokens, cfg.seed_expr.notation, budget)
@@ -545,7 +499,7 @@ def _run_sa(rng, ctx: _RunContext, scorer: _Scorer) -> None:
         budget = cfg.depth
         current = _random_expr(rng, ctx)
     current_f = scorer.score(current).total
-    temp = p.temp_initial
+    temp = SA_TEMP_INITIAL
     stall = 0
     while ctx.keep_going():
         neighbor = _mutate_span(rng, current, budget, ctx.alphabet)
@@ -562,43 +516,35 @@ def _run_sa(rng, ctx: _RunContext, scorer: _Scorer) -> None:
             stall = 0
         else:
             stall += 1
-            if stall >= p.stall_reheat:
-                temp = p.temp_initial
+            if stall >= SA_STALL_REHEAT:
+                temp = SA_TEMP_INITIAL
                 stall = 0
-        temp = max(temp * p.cooling, p.temp_floor)
+        temp = max(temp * SA_COOLING, SA_TEMP_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 
 
+_ALGORITHM_LOOPS = {
+    "rs": _run_rs,
+    "mcts": _run_mcts,
+    "cmcts": _run_mcts,
+    "pso": _run_pso,
+    "gp": _run_gp,
+    "sa": _run_sa,
+}
+ALGORITHMS = tuple(_ALGORITHM_LOOPS)
+
+
 def _worker(ctx: _RunContext, index: int, logs: list) -> None:
-    cfg = ctx.config
-    rng = random.Random(_mix(cfg.seed, index))
+    rng = random.Random(_mix(ctx.config.seed, index))
     scorer = _Scorer(ctx)
-    algo = cfg.algorithm
-    if algo == "rs":
-        _run_rs(rng, ctx, scorer)
-    elif algo == "mcts":
-        _run_mcts(rng, ctx, scorer, concurrent=False)
-    elif algo == "cmcts":
-        _run_mcts(rng, ctx, scorer, concurrent=True)
-    elif algo == "pso":
-        _run_pso(rng, ctx, scorer)
-    elif algo == "gp":
-        _run_gp(rng, ctx, scorer)
-    elif algo == "sa":
-        _run_sa(rng, ctx, scorer)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    _ALGORITHM_LOOPS[ctx.config.algorithm](rng, ctx, scorer)
     logs[index] = scorer.log
 
 
 def run_search(config: SearchConfig, case: PdeCase, data: Dataset) -> SearchResult:
     """Run the configured search; returns the best expression found in budget."""
-    if config.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}")
-    if config.threads < 1 or config.time_budget <= 0:
-        raise ValueError("need threads >= 1 and a positive time budget")
     alphabet = case_alphabet(case, config.token_mode)
     shared = SharedState()
     start = time.monotonic()

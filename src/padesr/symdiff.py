@@ -264,10 +264,6 @@ def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
     return make_expr(chunk, e.notation)
 
 
-def second_derivative(e: Expr, var: str) -> Expr:
-    return differentiate(differentiate(e, var), var)
-
-
 # ---------------------------------------------------------------------------
 # display-level simplification
 

@@ -26,12 +26,7 @@ from fd_oracle import FdOracle
 from padesr.cli import SWEEP_HEADER, main, parse_report
 from padesr.evaluate import eval_grid
 from padesr.expr import Notation, convert_notation, parse, sample_complete
-from padesr.pde import (
-    ObjectiveConfig,
-    build_case,
-    interior_mse,
-    objective,
-)
+from padesr.pde import ObjectiveConfig, build_case, objective
 from padesr.search import SearchConfig, run_search
 from padesr.symdiff import differentiate
 from test_expr import enumerate_trees, expand_all
@@ -176,9 +171,9 @@ def test_criterion_05_trivial_solution_gate(case1, alpha1):
     case, data = case1
     one = parse("1", Notation.PREFIX, alpha1)
     t0 = time.monotonic()
-    inner = interior_mse(one, case, data)
     rejected = objective(one, case, data)  # default threshold 1/sqrt(2)
     passed = objective(one, case, data, config=ObjectiveConfig(threshold=0.0))
+    inner = passed.interior
     elapsed = time.monotonic() - t0
     banner(5, "PASS",
            f"interior={inner}, objective(tau=1/sqrt2)={rejected.total}, "

@@ -1,0 +1,71 @@
+"""The traced benchmark wraps padesr functions by module path and name
+(``bench/run.py``, ``Traffic``).  A rename or a call that bypasses one of
+those module globals would leave its layer silently empty; this test runs a
+small search under the benchmark's own hooks and checks every scoring layer
+recorded spans, and that closing the hooks restores the originals."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import padesr
+import padesr.cli
+from padesr.expr import Notation, parse
+from padesr.search import SearchConfig
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    return run, spans
+
+
+def test_traffic_spans_every_scoring_layer(monkeypatch, case1):
+    run, spans = load_bench(monkeypatch)
+    case, data = case1
+    wrapped = {
+        (padesr.search, "objective"): padesr.search.objective,
+        (padesr.pde, "differentiate"): padesr.pde.differentiate,
+        (padesr.pde, "eval_grid"): padesr.pde.eval_grid,
+        (padesr.search.SharedState, "offer"): padesr.search.SharedState.offer,
+    }
+    tracer = spans.Tracer()
+    traffic = run.Traffic(padesr, tracer)
+    try:
+        config = SearchConfig(algorithm="rs", depth=3, notation=Notation.POSTFIX,
+                              threads=1, time_budget=60.0, seed=1, max_evals=5)
+        result = padesr.search.run_search(config, case, data)
+    finally:
+        traffic.close()
+    assert result.evaluations == 5
+    summary = tracer.summary()
+    for name in ("pde.objective", "symdiff.differentiate", "evaluate.eval_grid",
+                 "search.offer"):
+        assert summary.calls(name) > 0, name
+    assert summary.calls("search.offer") == 5
+    for (owner, attr), original in wrapped.items():
+        assert getattr(owner, attr) is original, attr
+
+
+def test_gate_rejections_attributed_in_order(monkeypatch, case1, alpha1):
+    # the benchmark names the missed variable from how many grids the gate
+    # evaluated, so the gate must test x, y, t in that order
+    run, spans = load_bench(monkeypatch)
+    case, data = case1
+    for text, missed in (("+ y t", "x"), ("+ x t", "y"), ("+ x y", "t")):
+        tracer = spans.Tracer()
+        traffic = run.Traffic(padesr, tracer)
+        try:
+            e = parse(text, Notation.PREFIX, alpha1)
+            assert padesr.search.objective(e, case, data).gate_rejected, text
+        finally:
+            traffic.close()
+        counts = tracer.summary().counts
+        assert [v for v in "xyt" if counts.get(f"pde.gate_reject.{v}")] == [missed], text

@@ -1,10 +1,15 @@
 """Command-line surface: reports, evaluate/diff output, sweep CSV shape."""
 
+import pytest
+
 from padesr.cli import SWEEP_HEADER, main, parse_report
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:  # argparse usage errors
+        code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -233,6 +238,47 @@ def test_search_bad_config_value_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 2
     assert "bad option value" in err
+
+
+def test_search_max_evals_zero_scores_nothing(tmp_path, capsys):
+    out_path = tmp_path / "r.txt"
+    code, _, _ = run_cli(
+        capsys, "search", "--case", "case1", "--algo", "rs", "--depth", "2",
+        "--notation", "postfix", "--time", "2", "--max-evals", "0",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    fields = parse_report(out_path.read_text())
+    assert fields["evaluations"] == "0"
+    assert fields["status"] == "no-evaluations"
+
+
+SEARCH_ARGV = ("search", "--case", "case1", "--algo", "rs", "--depth", "1",
+               "--notation", "postfix", "--time", "5", "--max-evals", "5")
+SWEEP_ARGV = ("sweep", "--case", "case1", "--algos", "rs", "--depths", "1",
+              "--notations", "postfix", "--token-sets", "vars", "--max-evals", "5")
+
+
+@pytest.mark.parametrize("argv", [
+    SEARCH_ARGV + ("--threads", "0"),
+    SEARCH_ARGV + ("--time", "0"),
+    SEARCH_ARGV + ("--depth", "-1"),
+    SEARCH_ARGV + ("--mesh", "10,10,1"),
+    SWEEP_ARGV + ("--threads", "0"),
+    SWEEP_ARGV + ("--time-per-config", "0"),
+    SWEEP_ARGV + ("--depths", "-1"),
+    SWEEP_ARGV + ("--mesh", "10,10,1"),
+    SWEEP_ARGV + ("--depths", "2..1"),
+    SWEEP_ARGV + ("--depths", "2..1", "--algos", "bogus"),
+], ids=lambda argv: " ".join(argv[:1] + argv[13:]))
+def test_bad_option_value_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "sweep.csv"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "error" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_env_threads_default(tmp_path, capsys, monkeypatch):

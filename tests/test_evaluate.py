@@ -5,15 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from padesr.evaluate import EvalError, build_dataset, eval_grid, eval_point
+from padesr.evaluate import EvalError, GaussianIc, build_dataset, eval_grid
 from padesr.expr import Notation, convert_notation, parse, sample_complete
 
 NOTATIONS = (Notation.PREFIX, Notation.POSTFIX)
 
 
+def at_point(e, x, y, t, ic=GaussianIc(0.0, 0.0)):
+    """Value of ``e`` at one point: ``eval_grid`` on a one-point dataset."""
+    return float(eval_grid(e, build_dataset([x], [y], [t], ic)).values[0])
+
+
 def test_add_at_point(alpha1):
     e = parse("x y +", Notation.POSTFIX, alpha1)
-    assert eval_point(e, 1.0, 2.0, 0.5) == 3.0
+    assert at_point(e, 1.0, 2.0, 0.5) == 3.0
 
 
 def test_sech_zero_is_one_everywhere(case1, alpha1):
@@ -32,22 +37,25 @@ def test_log_negative_faults(case1, alpha1):
     assert np.isnan(g.values).all()
 
 
-def test_ic_value_at_center(case1):
+def test_ic_value_at_center(case1, alpha1):
     case, _ = case1
-    assert case.ic.leaf_values(1.1, 0.0)["I"] == pytest.approx(12.5)
-    e_vals = case.ic.leaf_values(1.1, 0.0)
-    assert e_vals["I_x"] == pytest.approx(0.0)
-    assert e_vals["I_xx"] == pytest.approx(-25.0)
+
+    def ic_at_center(text):
+        return at_point(parse(text, Notation.PREFIX, alpha1, mode="free"), 1.1, 0.0, 0.1, case.ic)
+
+    assert ic_at_center("I") == pytest.approx(12.5)
+    assert ic_at_center("I_x") == pytest.approx(0.0)
+    assert ic_at_center("I_xx") == pytest.approx(-25.0)
 
 
 def test_literal_product(alpha1):
     e = parse("2 4 *", Notation.POSTFIX, alpha1)
-    assert eval_point(e, 0.0, 0.0, 0.0) == 8.0
+    assert at_point(e, 0.0, 0.0, 0.0) == 8.0
 
 
 def test_pow_at_point(alpha1):
     e = parse("x t ^", Notation.POSTFIX, alpha1)
-    assert eval_point(e, 2.0, 0.0, 3.0) == 8.0
+    assert at_point(e, 2.0, 0.0, 3.0) == 8.0
 
 
 def test_domain_fault_table(alpha1):
@@ -62,7 +70,7 @@ def test_domain_fault_table(alpha1):
     }
     for text, expected in cases.items():
         e = parse(text, Notation.POSTFIX, alpha1, mode="free")
-        got = eval_point(e, 0.0, 0.0, 0.0)
+        got = at_point(e, 0.0, 0.0, 0.0)
         if expected == "nan":
             assert math.isnan(got), text
         else:
@@ -71,7 +79,7 @@ def test_domain_fault_table(alpha1):
 
 def test_pow_integer_exponent_negative_base(alpha1):
     e = parse("2 ~ 2 ^", Notation.POSTFIX, alpha1)
-    assert eval_point(e, 0.0, 0.0, 0.0) == 4.0
+    assert at_point(e, 0.0, 0.0, 0.0) == 4.0
 
 
 def test_missing_constant_raises(alpha1_opt, case1):
@@ -84,7 +92,8 @@ def test_missing_constant_raises(alpha1_opt, case1):
 
 
 def test_point_matches_grid_everywhere(case1, alpha1, rng):
-    # derived oracle: eval_point at every mesh node equals the eval_grid entry
+    # derived oracle: a one-point dataset at a mesh node gives the full-grid
+    # entry, which checks the x-major flat layout
     case, data = case1
     nx, ny, nt = data.shape
     for _ in range(25):
@@ -97,7 +106,7 @@ def test_point_matches_grid_everywhere(case1, alpha1, rng):
             it = rng.randrange(nt)
             x, y, t = data.xs[ix], data.ys[iy], data.ts[it]
             flat = (ix * ny + iy) * nt + it
-            got = eval_point(e, x, y, t, ic_values=case.ic.leaf_values(x, y))
+            got = at_point(e, x, y, t, case.ic)
             want = grid[flat]
             if math.isnan(want):
                 assert math.isnan(got)
@@ -128,8 +137,6 @@ def test_operand_stack_depth_bound(alpha1, rng):
 
 
 def test_dataset_layout_and_linspace():
-    from padesr.evaluate import GaussianIc
-
     data = build_dataset([0.0, 1.0], [0.0, 2.0], [0.0, 3.0, 6.0], GaussianIc(0.0, 0.0))
     assert data.shape == (2, 2, 3)
     assert data.n == 12

@@ -1,5 +1,8 @@
 """Case construction, objective components, the non-triviality gate, and the
-residual-as-expression equivalence proof."""
+residual-as-expression equivalence proof.
+
+Components are read from ``objective`` at threshold 0, where only a faulting
+first derivative closes the gate; gate tests name their threshold."""
 
 import hashlib
 import math
@@ -18,17 +21,58 @@ from padesr.expr import (
     sample_complete,
 )
 from padesr.pde import (
+    BcKind,
     MseBreakdown,
     ObjectiveConfig,
-    boundary_mse,
     build_case,
     case_alphabet,
     initial_mse,
-    interior_mse,
-    nontriviality_gate,
     objective,
 )
-from padesr.symdiff import differentiate
+from padesr.symdiff import DerivativeOrderError, differentiate
+from test_evaluate import at_point
+
+NO_GATE = ObjectiveConfig(threshold=0.0)
+
+
+def components(e, case, data):
+    bd = objective(e, case, data, config=NO_GATE)
+    assert not bd.gate_rejected
+    return bd
+
+
+def reference_components(e, case, data, ic_derivatives="analytic"):
+    """(first derivatives fault-free, interior MSE, boundary MSEs) built here
+    from ``differentiate`` and ``eval_grid`` alone."""
+
+    def d(expr, var):
+        return differentiate(expr, var, ic_derivatives)
+
+    def mean_square(values):
+        return float(np.mean(np.square(values))) if np.isfinite(values).all() else math.inf
+
+    with np.errstate(all="ignore"):
+        first = {v: d(e, v) for v in "xyt"}
+        g = {v: eval_grid(first[v], data).values for v in "xyt"}
+        finite = all(np.isfinite(g[v]).all() for v in "xyt")
+        try:
+            lap = eval_grid(d(first["x"], "x"), data).values + eval_grid(d(first["y"], "y"), data).values
+        except DerivativeOrderError:
+            interior = math.inf
+        else:
+            residual = g["t"] + case.ux_grid * g["x"] + case.uy_grid * g["y"] - case.kappa * lap
+            interior = mean_square(residual)
+        boundary = []
+        for bc in case.bcs:
+            if bc.kind is BcKind.DERIV_ZERO:
+                wall = eval_grid(first[bc.axis], case.planes[(bc.axis, bc.location)])
+                boundary.append(mean_square(wall.values))
+                continue
+            probe = e if bc.kind is BcKind.PERIODIC_VALUE else first[bc.axis]
+            lo = eval_grid(probe, case.planes[(bc.axis, "lo")]).values
+            hi = eval_grid(probe, case.planes[(bc.axis, "hi")]).values
+            boundary.append(mean_square(lo - hi))
+    return finite, interior, boundary
 
 
 def test_unknown_case_id():
@@ -36,21 +80,22 @@ def test_unknown_case_id():
         build_case("case3")
 
 
-def test_case1_mesh_and_literals(case1):
+def test_case1_mesh_and_literals(case1, alpha1):
     case, data = case1
     assert data.n == 1000
     assert data.xs[0] == 0.1 and data.xs[-1] == 2.1
     assert data.ys[0] == -1.1 and data.ys[-1] == 1.1
     assert data.ts[0] == 0.1 and data.ts[-1] == 20.0
-    assert case.ic.leaf_values(1.1, 0.0)["I"] == pytest.approx(12.5)
+    assert at_point(parse("I", Notation.PREFIX, alpha1), 1.1, 0.0, 0.1, case.ic) == pytest.approx(12.5)
     assert case.bounds()["y_min"] == -1.1
 
 
-def test_case2_domain(case2):
+def test_case2_domain(case2, alpha1):
     case, _ = case2
     assert case.x_hi == pytest.approx(2 * math.pi)
     assert case.bounds()["x_max"] == pytest.approx(6.283185, abs=1e-6)
-    assert case.ic.leaf_values(math.pi, math.pi)["I"] == pytest.approx(12.5)
+    ic = parse("I", Notation.PREFIX, alpha1)
+    assert at_point(ic, math.pi, math.pi, 0.1, case.ic) == pytest.approx(12.5)
 
 
 def test_velocity_grids(case1, case2):
@@ -68,18 +113,18 @@ def test_velocity_grids(case1, case2):
 
 def test_constant_is_exact_interior_solution(case1, alpha1):
     case, data = case1
-    assert interior_mse(parse("1", Notation.PREFIX, alpha1), case, data) == 0.0
+    assert components(parse("1", Notation.PREFIX, alpha1), case, data).interior == 0.0
 
 
 def test_interior_of_t_is_one(case1, alpha1):
     case, data = case1
-    assert interior_mse(parse("t", Notation.PREFIX, alpha1), case, data) == 1.0
+    assert components(parse("t", Notation.PREFIX, alpha1), case, data).interior == 1.0
 
 
 def test_interior_of_ic_is_advection_diffusion(case1, alpha1):
     # derived oracle: residual of the t-independent feature from its grids
     case, data = case1
-    got = interior_mse(parse("I", Notation.PREFIX, alpha1), case, data)
+    got = components(parse("I", Notation.PREFIX, alpha1), case, data).interior
     residual = case.ux_grid * data.leaf["I_x"] - (data.leaf["I_xx"] + data.leaf["I_yy"])
     assert 0 < got < math.inf
     assert got == pytest.approx(float(np.mean(residual**2)), rel=1e-12)
@@ -117,12 +162,12 @@ def test_residual_as_single_expression_equivalence(case1, alpha1, rng):
 
 def test_constant_boundary_mses_zero(case1, alpha1):
     case, data = case1
-    assert boundary_mse(parse("1", Notation.PREFIX, alpha1), case, data) == [0, 0, 0, 0]
+    assert components(parse("1", Notation.PREFIX, alpha1), case, data).boundary == (0, 0, 0, 0)
 
 
 def test_linear_x_periodic_value(case1, alpha1):
     case, data = case1
-    terms = boundary_mse(parse("x", Notation.PREFIX, alpha1), case, data)
+    terms = components(parse("x", Notation.PREFIX, alpha1), case, data).boundary
     # walls dT/dy = 0; periodic value (0.1 - 2.1)^2 = 4; periodic derivative 0
     assert terms[0] == 0 and terms[1] == 0
     assert terms[2] == pytest.approx(4.0)
@@ -134,14 +179,14 @@ def test_linear_x_periodic_value(case1, alpha1):
 
 def test_y_squared_wall_derivatives(case1, alpha1):
     case, data = case1
-    terms = boundary_mse(parse("y 2 ^", Notation.POSTFIX, alpha1), case, data)
+    terms = components(parse("y 2 ^", Notation.POSTFIX, alpha1), case, data).boundary
     assert terms[0] == pytest.approx(4.84)
     assert terms[1] == pytest.approx(4.84)
 
 
 def test_case2_has_four_periodic_terms(case2, alpha1):
     case, data = case2
-    terms = boundary_mse(parse("1", Notation.PREFIX, alpha1), case, data)
+    terms = components(parse("1", Notation.PREFIX, alpha1), case, data).boundary
     assert len(terms) == 4 and all(t == 0 for t in terms)
 
 
@@ -175,20 +220,20 @@ def test_initial_offset_by_one(case1, alpha1):
 def test_gate_rejects_constants_at_default_threshold(case1, alpha1):
     case, data = case1
     one = parse("1", Notation.PREFIX, alpha1)
-    assert not nontriviality_gate(one, data)
-    assert nontriviality_gate(one, data, threshold=0.0)
+    assert objective(one, case, data).gate_rejected
+    assert not objective(one, case, data, config=NO_GATE).gate_rejected
 
 
 def test_gate_faults_reject_even_at_zero(case1, alpha1):
     case, data = case1
     # derivative of sqrt(-x) is -1/(2 sqrt(-x)): NaN over the whole x > 0 mesh
     bad = parse("sqrt ~ x", Notation.PREFIX, alpha1)
-    assert not nontriviality_gate(bad, data, threshold=0.0)
+    bd = objective(bad, case, data, config=NO_GATE)
+    assert bd.gate_rejected and not bd.note
     # a faulting primal with identically-zero derivatives passes the gate and
     # is rejected by the component MSEs instead
     flat = parse("log ~ 1", Notation.PREFIX, alpha1)
-    assert nontriviality_gate(flat, data, threshold=0.0)
-    bd = objective(flat, case, data, config=ObjectiveConfig(threshold=0.0))
+    bd = objective(flat, case, data, config=NO_GATE)
     assert not bd.gate_rejected and bd.total == math.inf
 
 
@@ -199,8 +244,8 @@ def test_gate_xyt_product_on_case2(case2, alpha1):
     x, y, t = data.leaf["x"], data.leaf["y"], data.leaf["t"]
     m = min(np.mean(np.abs(y * t)), np.mean(np.abs(x * t)), np.mean(np.abs(x * y)))
     assert m > 0.1
-    assert nontriviality_gate(e, data, threshold=0.1)
-    assert not nontriviality_gate(e, data, threshold=float(m) + 1e-9)
+    assert not objective(e, case, data, config=ObjectiveConfig(threshold=0.1)).gate_rejected
+    assert objective(e, case, data, config=ObjectiveConfig(threshold=float(m) + 1e-9)).gate_rejected
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +260,7 @@ def test_objective_gate_first(case1, alpha1):
     bd0 = objective(one, case, data, config=ObjectiveConfig(threshold=0.0))
     assert not bd0.gate_rejected
     assert bd0.total == bd0.initial  # interior and boundary all zero
-    assert interior_mse(one, case, data) == 0.0
+    assert bd0.interior == 0.0
 
 
 def test_objective_matches_component_ops(case1, alpha1, rng):
@@ -228,8 +273,10 @@ def test_objective_matches_component_ops(case1, alpha1, rng):
         if bd.gate_rejected:
             continue
         found += 1
-        assert bd.interior == interior_mse(e, case, data)
-        assert list(bd.boundary) == boundary_mse(e, case, data)
+        finite, interior, boundary = reference_components(e, case, data)
+        assert finite
+        assert bd.interior == interior
+        assert list(bd.boundary) == boundary
         assert bd.initial == initial_mse(e, case, data)
 
 
@@ -280,8 +327,8 @@ def test_rejected_breakdown_shape():
 def test_derivative_order_error_propagates(case1, alpha1):
     case, data = case1
     e = parse("I_xx x *", Notation.POSTFIX, alpha1, mode="free")
-    assert interior_mse(e, case, data) == math.inf
-    bd = objective(e, case, data, config=ObjectiveConfig(threshold=0.0))
+    bd = objective(e, case, data, config=NO_GATE)
+    assert bd.interior == math.inf
     assert bd.total == math.inf and bd.note
 
 
@@ -346,9 +393,10 @@ def test_data_reading_reaches_every_component(case1, alpha1, rng):
         if bd.gate_rejected:
             continue
         found += 1
-        assert bd.interior == interior_mse(e, case, data, ic_derivatives="data")
-        assert list(bd.boundary) == boundary_mse(e, case, data, ic_derivatives="data")
-        assert nontriviality_gate(e, data, threshold=0.0, ic_derivatives="data")
+        finite, interior, boundary = reference_components(e, case, data, "data")
+        assert finite
+        assert bd.interior == interior
+        assert list(bd.boundary) == boundary
         if "I" in e.text.split():
             with_ic += 1
         else:

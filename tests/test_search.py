@@ -15,7 +15,7 @@ from padesr.search import (
     fit_constants,
     pso_minimize,
     run_search,
-    select_action_cmcts,
+    select_action,
 )
 
 
@@ -48,11 +48,7 @@ def test_pso_minimize_convex_bowl():
 
     hits = 0
     for seed in range(10):
-        best, _ = pso_minimize(
-            bowl, 1, random.Random(seed),
-            swarm=20, iterations=5, inertia=0.7, cognitive=1.5, social=1.5,
-            init_range=10.0,
-        )
+        best, _ = pso_minimize(bowl, 1, random.Random(seed))
         if 1.0 <= best[0] <= 3.0:
             hits += 1
     assert hits >= 9
@@ -93,40 +89,63 @@ def test_fit_constants_cached_and_deterministic(case1, alpha1_opt):
 
 
 # ---------------------------------------------------------------------------
-# cmcts selection rule
+# UCT selection rule (MCTS passes no rng, concurrent MCTS its worker's rng)
 
 
 def _tok(alpha, text):
     return alpha.by_text[text]
 
 
+class NoDraws(random.Random):
+    def random(self):
+        raise AssertionError("selection drew from the rng")
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("selection drew from the rng")
+
+
 def test_select_all_unvisited_uniform(alpha1):
-    shared = SharedState()
+    stats = ({}, {}, {})
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
-    seen = {select_action_cmcts("s", legal, shared, 1.4, random.Random(i)).text
-            for i in range(60)}
+    seen = set()
+    for i in range(60):
+        tok, expand = select_action("s", legal, *stats, 1.4, random.Random(i))
+        assert expand
+        seen.add(tok.text)
     assert seen == {"x", "y", "t"}
 
 
-def test_select_single_unvisited_preempts_uct(alpha1):
-    shared = SharedState()
+def test_select_first_unvisited_without_rng_draw(alpha1):
+    visits, action_visits, action_value = {"s": 1}, {("s", "x"): 1}, {("s", "x"): 1.0}
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
-    shared.visits["s"] = 10
-    shared.action_visits[("s", "x")] = 6
-    shared.action_visits[("s", "t")] = 4
-    shared.action_value[("s", "x")] = 6.0  # perfect mean reward
+    tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4)
+    assert (tok.text, expand) == ("y", True)
+    # concurrent MCTS draws only when several actions are unvisited
+    action_visits[("s", "y")] = 1
+    tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4,
+                                NoDraws(0))
+    assert (tok.text, expand) == ("t", True)
+
+
+def test_select_single_unvisited_preempts_uct(alpha1):
+    visits = {"s": 10}
+    action_visits = {("s", "x"): 6, ("s", "t"): 4}
+    action_value = {("s", "x"): 6.0}  # perfect mean reward
+    legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
     for i in range(20):
-        assert select_action_cmcts("s", legal, shared, 1.4, random.Random(i)).text == "y"
+        tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4,
+                                    random.Random(i))
+        assert (tok.text, expand) == ("y", True)
 
 
 def test_select_tie_breaks_lowest_index(alpha1):
-    shared = SharedState()
+    visits = {"s": 9}
+    action_visits = {("s", text): 3 for text in ("x", "y", "t")}
+    action_value = {("s", text): 1.5 for text in ("x", "y", "t")}
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
-    shared.visits["s"] = 9
-    for text in ("x", "y", "t"):
-        shared.action_visits[("s", text)] = 3
-        shared.action_value[("s", text)] = 1.5
-    assert select_action_cmcts("s", legal, shared, 1.4, random.Random(0)).text == "x"
+    for rng in (None, NoDraws(0)):
+        tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4, rng)
+        assert (tok.text, expand) == ("x", False)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +252,15 @@ def test_stop_below_short_circuits(case1):
     assert result.evaluations < 100
 
 
-def test_invalid_configs_rejected(case1):
-    case, data = case1
-    with pytest.raises(ValueError):
-        run_search(quick_config("nope"), case, data)
-    with pytest.raises(ValueError):
-        run_search(quick_config("rs", threads=0), case, data)
+def test_invalid_configs_rejected():
+    for algo, bad in (
+        ("nope", {}),
+        ("rs", {"token_mode": "consts"}),
+        ("rs", {"threads": 0}),
+        ("rs", {"time_budget": 0.0}),
+        ("rs", {"depth": -1}),
+        ("rs", {"max_evals": -1}),
+    ):
+        with pytest.raises(ValueError):
+            quick_config(algo, **bad)
+    quick_config("rs", depth=0, max_evals=0)  # both bounds are inclusive

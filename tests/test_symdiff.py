@@ -12,7 +12,6 @@ from padesr.expr import Notation, Token, convert_notation, parse, sample_complet
 from padesr.symdiff import (
     DerivativeOrderError,
     differentiate,
-    second_derivative,
     simplify,
 )
 
@@ -75,7 +74,7 @@ def test_data_reading_zeroes_the_ic_family(alpha1):
 def test_second_derivative_of_square_is_two(case1, alpha1):
     _, data = case1
     e = parse("x 2 ^", Notation.POSTFIX, alpha1)
-    g = eval_grid(second_derivative(e, "x"), data)
+    g = eval_grid(differentiate(differentiate(e, "x"), "x"), data)
     assert not g.fault
     assert np.allclose(g.values, 2.0, atol=1e-10)
 
@@ -83,7 +82,7 @@ def test_second_derivative_of_square_is_two(case1, alpha1):
 def test_second_derivative_sin(case1, alpha1):
     _, data = case1
     e = parse("sin x", Notation.PREFIX, alpha1)
-    g = eval_grid(second_derivative(e, "x"), data)
+    g = eval_grid(differentiate(differentiate(e, "x"), "x"), data)
     assert np.allclose(g.values, -np.sin(data.leaf["x"]), atol=1e-10)
 
 
@@ -91,7 +90,7 @@ def test_second_derivative_of_ic_matches_stored_grid(case1, alpha1):
     # derived oracle: analytic I_xx = (4(x-xc)^2 - 2) * I
     case, data = case1
     e = parse("I", Notation.PREFIX, alpha1)
-    g = eval_grid(second_derivative(e, "x"), data)
+    g = eval_grid(differentiate(differentiate(e, "x"), "x"), data)
     x = data.leaf["x"]
     assert np.allclose(g.values, (4 * (x - 1.1) ** 2 - 2) * data.leaf["I"], rtol=1e-12)
     assert np.array_equal(g.values, data.leaf["I_xx"])
@@ -224,6 +223,6 @@ def test_simplify_preserves_values(case1, alpha1, rng):
 def test_simplify_derivative_chains(case1, alpha1):
     _, data = case1
     e = parse("x 2 ^", Notation.POSTFIX, alpha1)
-    d2 = simplify(second_derivative(e, "x"))
+    d2 = simplify(differentiate(differentiate(e, "x"), "x"))
     a = eval_grid(d2, data)
     assert np.allclose(a.values, 2.0, atol=1e-10)
