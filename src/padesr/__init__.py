@@ -21,7 +21,6 @@ from .expr import (
     Token,
     TokenKind,
     convert_notation,
-    depth,
     legal_tokens,
     make_alphabet,
     make_expr,

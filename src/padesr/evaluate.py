@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, Notation, Token, TokenKind
+from .expr import Expr, Notation, TokenKind, scan_order
 
 
 class EvalError(ValueError):
@@ -180,16 +180,10 @@ def _compile(e: Expr) -> list[tuple]:
     program = getattr(e, "_program", None)
     if program is not None:
         return program
-    # postfix evaluates left to right; prefix is scanned reversed, which flips
-    # the operand pop order for binaries
-    if e.notation is Notation.POSTFIX:
-        order: Sequence[Token] = e.tokens
-        bin_code = _BIN_LR
-    else:
-        order = e.tokens[::-1]
-        bin_code = _BIN_RL
+    # a reversed prefix scan meets a binary's left operand on top of the stack
+    bin_code = _BIN_LR if e.notation is Notation.POSTFIX else _BIN_RL
     program = []
-    for tok in order:
+    for tok in scan_order(e.tokens, e.notation):
         kind = tok.kind
         if kind is TokenKind.LITERAL:
             program.append((_LIT, tok.value))

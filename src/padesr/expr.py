@@ -13,7 +13,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+
+
+T = TypeVar("T")
 
 
 class Notation(str, Enum):
@@ -73,7 +76,7 @@ class Token:
     dy: int = 0
     slot: Optional[int] = None
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return _ARITY[self.kind]
 
@@ -167,32 +170,62 @@ def make_alphabet(
 
 
 # ---------------------------------------------------------------------------
-# completeness / depth scans (single pass, no tree construction)
+# bottom-up stack scans (single pass, no tree construction)
+#
+# Postfix is read as written.  Prefix is read reversed: a reversed prefix
+# sequence is the postfix sequence of the mirror-image tree, so every scan
+# below serves both notations, and a binary operator met in a reversed prefix
+# scan finds its left operand on top of the stack.
+
+
+def scan_order(tokens: Sequence[Token], notation: Notation) -> Iterable[Token]:
+    """``tokens`` in bottom-up order: operands before their operator."""
+    return tokens if notation is Notation.POSTFIX else reversed(tokens)
+
+
+def fold(
+    tokens: Sequence[Token],
+    notation: Notation,
+    leaf: Callable[[Token], T],
+    unary: Callable[[Token, T], T],
+    binary: Callable[[Token, T, T], T],
+) -> T:
+    """Combine a complete expression bottom-up, one callback per token.
+
+    Operands reach ``unary`` and ``binary`` in tree order (left, then right)
+    in both notations.
+    """
+    left_on_top = notation is Notation.PREFIX
+    stack: list = []
+    for tok in scan_order(tokens, notation):
+        a = tok.arity
+        if a == 0:
+            stack.append(leaf(tok))
+        elif a == 1:
+            stack[-1] = unary(tok, stack[-1])
+        else:
+            top = stack.pop()
+            if left_on_top:
+                stack[-1] = binary(tok, top, stack[-1])
+            else:
+                stack[-1] = binary(tok, stack[-1], top)
+    return stack[0]
 
 
 def is_complete(tokens: Sequence[Token], notation: Notation) -> bool:
-    if not tokens:
-        return False
-    if notation is Notation.PREFIX:
-        need = 1
-        for i, tok in enumerate(tokens):
-            need += tok.arity - 1
-            if need == 0:
-                return i == len(tokens) - 1
-        return False
     size = 0
-    for tok in tokens:
-        if tok.arity > size:
+    for tok in scan_order(tokens, notation):
+        a = tok.arity
+        if a > size:
             return False
-        size += 1 - tok.arity
+        size += 1 - a
     return size == 1
 
 
 def sequence_depth(tokens: Sequence[Token], notation: Notation) -> int:
     """Tree depth of a complete token sequence (leaf = 0)."""
-    scan = tokens if notation is Notation.POSTFIX else reversed(tokens)
     depths: list[int] = []
-    for tok in scan:
+    for tok in scan_order(tokens, notation):
         a = tok.arity
         if a == 0:
             depths.append(0)
@@ -338,24 +371,12 @@ def legal_tokens(
 
     depths = _postfix_depths(partial, budget)
     out: list[Token] = []
-    if not depths:
-        leaf_ok = budget >= 0
-        unary_ok = binary_ok = False
-    else:
-        m = 0
-        for d in reversed(depths):
-            m = max(d, m) + 1
-        leaf_ok = m <= budget
-        m = depths[-1] + 1
-        for d in reversed(depths[:-1]):
-            m = max(d, m) + 1
-        unary_ok = m <= budget
-        binary_ok = False
-        if len(depths) >= 2:
-            m = max(depths[-1], depths[-2]) + 1
-            for d in reversed(depths[:-2]):
-                m = max(d, m) + 1
-            binary_ok = m <= budget
+    # the stack after pushing a leaf, applying a unary, applying a binary
+    leaf_ok = _min_completion_depth(depths + [0]) <= budget
+    unary_ok = bool(depths) and _min_completion_depth(
+        depths[:-1] + [depths[-1] + 1]) <= budget
+    binary_ok = len(depths) >= 2 and _min_completion_depth(
+        depths[:-2] + [max(depths[-2], depths[-1]) + 1]) <= budget
     if leaf_ok:
         out.extend(alphabet.leaves)
     if unary_ok:
@@ -380,31 +401,19 @@ def sample_complete(rng, notation: Notation, budget: int, alphabet: Alphabet) ->
 # spans (array subranges standing in for subtrees)
 
 
-def subexpr_end(tokens: Sequence[Token], start: int) -> int:
-    """End index (exclusive) of the prefix subexpression starting at ``start``."""
-    need = 1
-    i = start
-    while need:
-        need += tokens[i].arity - 1
-        i += 1
-    return i
-
-
-def subexpr_start(tokens: Sequence[Token], end: int) -> int:
-    """Start index of the postfix subexpression ending at ``end`` (exclusive)."""
-    need = 1
-    i = end
-    while need:
-        i -= 1
-        need += tokens[i].arity - 1
-    return i
-
-
 def span_at(tokens: Sequence[Token], index: int, notation: Notation) -> tuple[int, int]:
-    """(start, end) of the complete subexpression rooted at ``index``."""
-    if notation is Notation.PREFIX:
-        return index, subexpr_end(tokens, index)
-    return subexpr_start(tokens, index + 1), index + 1
+    """(start, end) of the complete subexpression rooted at ``index``.
+
+    The span runs from its root away from the operands' side: rightward in
+    prefix, leftward in postfix, until every operand is accounted for.
+    """
+    step = 1 if notation is Notation.PREFIX else -1
+    need = 1
+    i = index
+    while need:
+        need += tokens[i].arity - 1
+        i += step
+    return (index, i) if step == 1 else (i + 1, index + 1)
 
 
 def token_path_depths(tokens: Sequence[Token], notation: Notation) -> list[int]:
@@ -422,11 +431,7 @@ def token_path_depths(tokens: Sequence[Token], notation: Notation) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# depth / parse / render / convert
-
-
-def depth(e: Expr) -> int:
-    return e.depth
+# parse / render / convert
 
 
 def parse(
@@ -470,92 +475,34 @@ def parse(
     return make_expr(toks, notation)
 
 
-def _render(tokens: Sequence[Token], notation: Notation, consts) -> str:
-    def fmt_leaf(tok: Token) -> str:
+def render_infix(e: Expr, consts: Optional[Sequence[float]] = None) -> str:
+    """Fully parenthesized infix rendering; learnable constants print their
+    fitted values when ``consts`` is given."""
+
+    def leaf(tok: Token) -> str:
         if tok.kind is TokenKind.CONST and consts is not None:
             return f"{consts[tok.slot]:g}"
         return tok.text
 
-    if notation is Notation.PREFIX:
-
-        def rec(start: int) -> tuple[str, int]:
-            tok = tokens[start]
-            if tok.arity == 0:
-                return fmt_leaf(tok), start + 1
-            if tok.arity == 1:
-                inner, nxt = rec(start + 1)
-                if tok.text == "~":
-                    return f"(-{inner})", nxt
-                return f"{tok.text}({inner})", nxt
-            left, mid = rec(start + 1)
-            right, nxt = rec(mid)
-            return f"({left}{tok.text}{right})", nxt
-
-        text, _ = rec(0)
-        return text
-
-    def rec_post(end: int) -> tuple[str, int]:
-        tok = tokens[end - 1]
-        if tok.arity == 0:
-            return fmt_leaf(tok), end - 1
-        if tok.arity == 1:
-            inner, nxt = rec_post(end - 1)
-            if tok.text == "~":
-                return f"(-{inner})", nxt
-            return f"{tok.text}({inner})", nxt
-        right, mid = rec_post(end - 1)
-        left, nxt = rec_post(mid)
-        return f"({left}{tok.text}{right})", nxt
-
-    text, _ = rec_post(len(tokens))
-    return text
-
-
-def render_infix(e: Expr, consts: Optional[Sequence[float]] = None) -> str:
-    """Fully parenthesized infix rendering; learnable constants print their
-    fitted values when ``consts`` is given."""
-    return _render(e.tokens, e.notation, consts)
+    return fold(
+        e.tokens,
+        e.notation,
+        leaf,
+        lambda tok, a: f"(-{a})" if tok.text == "~" else f"{tok.text}({a})",
+        lambda tok, a, b: f"({a}{tok.text}{b})",
+    )
 
 
 def convert_notation(e: Expr, target: Notation) -> Expr:
     """Value-equivalent expression in the target notation; depth is preserved."""
     if target is e.notation:
         return e
-    tokens = e.tokens
-    out: list[Token] = []
-
-    if e.notation is Notation.PREFIX:
-
-        def rec(start: int) -> int:
-            tok = tokens[start]
-            if tok.arity == 0:
-                out.append(tok)
-                return start + 1
-            if tok.arity == 1:
-                nxt = rec(start + 1)
-                out.append(tok)
-                return nxt
-            mid = rec(start + 1)
-            nxt = rec(mid)
-            out.append(tok)
-            return nxt
-
-        rec(0)
-    else:
-
-        def rec_post(end: int) -> int:
-            tok = tokens[end - 1]
-            out.append(tok)
-            if tok.arity == 0:
-                return end - 1
-            if tok.arity == 1:
-                return rec_post(end - 1)
-            # emit left subtree before right to restore prefix order
-            mid = subexpr_start(tokens, end - 1)
-            start = rec_post(mid)
-            rec_post(end - 1)
-            return start
-
-        rec_post(len(tokens))
-
+    prefix = target is Notation.PREFIX
+    out = fold(
+        e.tokens,
+        e.notation,
+        lambda tok: [tok],
+        lambda tok, a: [tok] + a if prefix else a + [tok],
+        lambda tok, a, b: [tok] + a + b if prefix else a + b + [tok],
+    )
     return Expr(target, tuple(out), e.budget)

@@ -121,8 +121,10 @@ class SearchResult:
 class SharedState:
     """State shared by all workers of one run.
 
-    The best-so-far update is a compare-and-swap under a lock, so its MSE is
-    monotone non-increasing.  The constant cache is write-once per key in
+    An evaluation is counted when a worker claims it, under the lock, so a
+    run never scores more than its cap.  The best-so-far update is a
+    compare-and-swap under the same lock, so its MSE is monotone
+    non-increasing.  The constant cache is write-once per key in
     effect: fits are deterministic given the key, so a racing second writer
     stores the same value.  The concurrent-MCTS statistics are updated without
     locking; lost increments are harmless, the dictionaries themselves stay
@@ -141,6 +143,14 @@ class SharedState:
         self.action_visits: dict[tuple[str, str], int] = {}
         self.action_value: dict[tuple[str, str], float] = {}
 
+    def claim(self, cap: Optional[int]) -> bool:
+        """Count one evaluation, unless ``cap`` evaluations are counted already."""
+        with self._lock:
+            if cap is not None and self.evaluations >= cap:
+                return False
+            self.evaluations += 1
+            return True
+
     def offer(
         self,
         key: str,
@@ -149,7 +159,6 @@ class SharedState:
         breakdown: MseBreakdown,
     ) -> bool:
         with self._lock:
-            self.evaluations += 1
             if self.best is None or breakdown.total < self.best_total:
                 self.best_total = breakdown.total
                 self.best = (key, expr, consts, breakdown)
@@ -299,15 +308,19 @@ class _RunContext:
         self.deadline = start + config.time_budget
 
     def keep_going(self) -> bool:
-        if self.shared.stop.is_set() or time.monotonic() >= self.deadline:
-            return False
-        if self.config.max_evals is not None:
-            return self.shared.evaluations < self.config.max_evals
-        return True
+        return not self.shared.stop.is_set() and time.monotonic() < self.deadline
+
+
+class _CapSpent(Exception):
+    """The run's evaluation cap is spent; ends the worker that drew it."""
 
 
 class _Scorer:
-    """Worker-local scoring front end; logs this worker's own improvements."""
+    """Worker-local scoring front end; logs this worker's own improvements.
+
+    :meth:`score` is the one place that enforces ``max_evals``: it raises
+    :class:`_CapSpent` in place of scoring past the cap.
+    """
 
     def __init__(self, ctx: _RunContext):
         self.ctx = ctx
@@ -316,6 +329,8 @@ class _Scorer:
 
     def score(self, e: Expr) -> MseBreakdown:
         ctx = self.ctx
+        if not ctx.shared.claim(ctx.config.max_evals):
+            raise _CapSpent
         consts: tuple[float, ...] = ()
         if e.n_slots:
             consts = fit_constants(e, ctx.case, ctx.data, ctx.shared, ctx.config)
@@ -539,7 +554,10 @@ ALGORITHMS = tuple(_ALGORITHM_LOOPS)
 def _worker(ctx: _RunContext, index: int, logs: list) -> None:
     rng = random.Random(_mix(ctx.config.seed, index))
     scorer = _Scorer(ctx)
-    _ALGORITHM_LOOPS[ctx.config.algorithm](rng, ctx, scorer)
+    try:
+        _ALGORITHM_LOOPS[ctx.config.algorithm](rng, ctx, scorer)
+    except _CapSpent:
+        pass
     logs[index] = scorer.log
 
 

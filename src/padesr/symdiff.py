@@ -1,13 +1,14 @@
 """Tree-free symbolic differentiation of flat expressions in both notations.
 
-Subexpressions are addressed as index spans of the host token array; the
-derivative is emitted directly into flat output buffers, so no tree or node
-structure ever exists.  Identity rewrites (0*e -> 0, e^1 -> e, ...) are
-applied while emitting, which keeps trivial factors from the chain and product
-rules out of the output.  :func:`simplify` reuses the same rewrites and adds
-constant folding of all-literal subexpressions for display.
+One bottom-up stack scan (:func:`padesr.expr.fold`) serves both notations:
+each stack entry holds a subexpression as a flat token chunk together with
+the chunk of its derivative, so no tree or node structure ever exists.
+Identity rewrites (0*e -> 0, e^1 -> e, ...) are applied while emitting, which
+keeps trivial factors from the chain and product rules out of the output.
+:func:`simplify` reuses the same rewrites and adds constant folding of
+all-literal subexpressions for display.
 
-Every token emitted by differentiation is either copied from the input span or
+Every token emitted by differentiation is either copied from the input or
 taken from a module-level table, so differentiating allocates no new Token
 objects at all.
 
@@ -39,6 +40,7 @@ from .expr import (
     TokenKind,
     UNARY_TOKENS,
     ZERO,
+    fold,
     literal_token,
     make_expr,
 )
@@ -208,47 +210,15 @@ def _d_binary(op: str, a: Chunk, da: Chunk, b: Chunk, db: Chunk, em: _Emit) -> C
     raise ValueError(f"unknown binary operator {op!r}")
 
 
-def _d_prefix(tokens: Sequence[Token], start: int, end: int, var: str, em: _Emit, d_leaf):
-    """Returns (derivative chunk, span end)."""
-    tok = tokens[start]
-    arity = tok.arity
-    if arity == 0:
-        return d_leaf(tok, var), start + 1
-    if arity == 1:
-        du, nxt = _d_prefix(tokens, start + 1, end, var, em, d_leaf)
-        u = list(tokens[start + 1 : nxt])
-        return _d_unary(tok.text, u, du, em), nxt
-    da, mid = _d_prefix(tokens, start + 1, end, var, em, d_leaf)
-    db, nxt = _d_prefix(tokens, mid, end, var, em, d_leaf)
-    a = list(tokens[start + 1 : mid])
-    b = list(tokens[mid:nxt])
-    return _d_binary(tok.text, a, da, b, db, em), nxt
-
-
-def _d_postfix(tokens: Sequence[Token], end: int, var: str, em: _Emit, d_leaf):
-    """Returns (derivative chunk, span start)."""
-    tok = tokens[end - 1]
-    arity = tok.arity
-    if arity == 0:
-        return d_leaf(tok, var), end - 1
-    if arity == 1:
-        du, start = _d_postfix(tokens, end - 1, var, em, d_leaf)
-        u = list(tokens[start : end - 1])
-        return _d_unary(tok.text, u, du, em), start
-    db, mid = _d_postfix(tokens, end - 1, var, em, d_leaf)
-    da, start = _d_postfix(tokens, mid, var, em, d_leaf)
-    a = list(tokens[start:mid])
-    b = list(tokens[mid : end - 1])
-    return _d_binary(tok.text, a, da, b, db, em), start
-
-
 def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
     """Exact symbolic derivative of ``e`` with respect to ``x``, ``y`` or ``t``.
 
     The result uses the same notation; its evaluation equals the derivative of
     ``e`` wherever both are defined.  ``ic_derivatives`` picks the reading of
     the initial-condition family (see the module docstring); under ``"data"``
-    no :class:`DerivativeOrderError` can arise.
+    no :class:`DerivativeOrderError` can arise.  When several leaves have no
+    stored derivative, the error names the first in token order, which is the
+    same leaf in both notations.
     """
     if var not in ("x", "y", "t"):
         raise ValueError(f"unknown variable {var!r}")
@@ -257,10 +227,31 @@ def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
     except KeyError:
         raise ValueError(f"unknown ic_derivatives mode {ic_derivatives!r}") from None
     em = _Emit(e.notation)
-    if e.notation is Notation.PREFIX:
-        chunk, _ = _d_prefix(e.tokens, 0, len(e.tokens), var, em, d_leaf)
-    else:
-        chunk, _ = _d_postfix(e.tokens, len(e.tokens), var, em, d_leaf)
+    postfix = em.postfix
+
+    # each stack entry is (subexpression chunk, its derivative chunk)
+    def leaf(tok: Token) -> tuple[Chunk, Chunk]:
+        return [tok], d_leaf(tok, var)
+
+    def unary(tok: Token, u: tuple[Chunk, Chunk]) -> tuple[Chunk, Chunk]:
+        span, du = u
+        out = span + [tok] if postfix else [tok] + span
+        return out, _d_unary(tok.text, span, du, em)
+
+    def binary(tok: Token, a: tuple[Chunk, Chunk], b: tuple[Chunk, Chunk]):
+        sa, da = a
+        sb, db = b
+        out = sa + sb + [tok] if postfix else [tok] + sa + sb
+        return out, _d_binary(tok.text, sa, da, sb, db, em)
+
+    try:
+        _, chunk = fold(e.tokens, e.notation, leaf, unary, binary)
+    except DerivativeOrderError:
+        # a prefix scan meets the leaves last to first
+        for tok in e.tokens:
+            if tok.arity == 0:
+                d_leaf(tok, var)
+        raise
     return make_expr(chunk, e.notation)
 
 
@@ -268,60 +259,30 @@ def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
 # display-level simplification
 
 
-def _fold_unary(op: str, v: float):
-    r = scalar_unary(op, v)
-    return r if math.isfinite(r) else None
+_IDENTITY_RULES = {"+": _Emit.add, "-": _Emit.sub, "*": _Emit.mul, "/": _Emit.div,
+                   "^": _Emit.pow}
 
 
-def _fold_binary(op: str, a: float, b: float):
-    r = scalar_binary(op, a, b)
-    return r if math.isfinite(r) else None
+def _is_literal(chunk: Chunk) -> bool:
+    return len(chunk) == 1 and chunk[0].kind is TokenKind.LITERAL
 
 
 def _simp_pass(tokens: Sequence[Token], notation: Notation, em: _Emit) -> Chunk:
-    prefix = notation is Notation.PREFIX
+    def unary(tok: Token, u: Chunk) -> Chunk:
+        if _is_literal(u):
+            folded = scalar_unary(tok.text, u[0].value)
+            if math.isfinite(folded):
+                return [literal_token(folded)]
+        return em.unary(tok.text, u)
 
-    def rec(pos: int):
-        # pos is the span start for prefix, the span end for postfix
-        tok = tokens[pos] if prefix else tokens[pos - 1]
-        arity = tok.arity
-        if arity == 0:
-            return [tok], (pos + 1 if prefix else pos - 1)
-        if arity == 1:
-            u, nxt = rec(pos + 1) if prefix else rec(pos - 1)
-            if len(u) == 1 and u[0].kind is TokenKind.LITERAL:
-                folded = _fold_unary(tok.text, u[0].value)
-                if folded is not None:
-                    return [literal_token(folded)], nxt
-            return em.unary(tok.text, u), nxt
-        if prefix:
-            a, mid = rec(pos + 1)
-            b, nxt = rec(mid)
-        else:
-            b, mid = rec(pos - 1)
-            a, nxt = rec(mid)
-        if (
-            len(a) == 1
-            and len(b) == 1
-            and a[0].kind is TokenKind.LITERAL
-            and b[0].kind is TokenKind.LITERAL
-        ):
-            folded = _fold_binary(tok.text, a[0].value, b[0].value)
-            if folded is not None:
-                return [literal_token(folded)], nxt
-        op = tok.text
-        if op == "+":
-            return em.add(a, b), nxt
-        if op == "-":
-            return em.sub(a, b), nxt
-        if op == "*":
-            return em.mul(a, b), nxt
-        if op == "/":
-            return em.div(a, b), nxt
-        return em.pow(a, b), nxt
+    def binary(tok: Token, a: Chunk, b: Chunk) -> Chunk:
+        if _is_literal(a) and _is_literal(b):
+            folded = scalar_binary(tok.text, a[0].value, b[0].value)
+            if math.isfinite(folded):
+                return [literal_token(folded)]
+        return _IDENTITY_RULES[tok.text](em, a, b)
 
-    chunk, _ = rec(0 if prefix else len(tokens))
-    return chunk
+    return fold(tokens, notation, lambda tok: [tok], unary, binary)
 
 
 def simplify(e: Expr) -> Expr:

@@ -128,12 +128,18 @@ def test_diff_second_order(capsys):
     assert out.splitlines()[0] == "I_xx"
 
 
-def test_diff_order_error_exit_2(capsys):
+@pytest.mark.parametrize("notation,text", [
+    ("prefix", "+ I_xx I_yy"),
+    ("postfix", "I_xx I_yy +"),
+], ids=["prefix", "postfix"])
+def test_diff_order_error_exit_2(capsys, notation, text):
+    # both leaves exceed the stored order; the first in token order is named
     code, _, err = run_cli(
-        capsys, "diff", "--expr", "I_xx", "--notation", "prefix", "--wrt", "x",
+        capsys, "diff", "--expr", text, "--notation", notation, "--wrt", "x",
     )
     assert code == 2
     assert "order" in err
+    assert "I_xx" in err and "I_yy" not in err
 
 
 # ---------------------------------------------------------------------------

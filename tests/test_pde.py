@@ -7,6 +7,7 @@ first derivative closes the gate; gate tests name their threshold."""
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -196,13 +197,13 @@ def test_case2_has_four_periodic_terms(case2, alpha1):
 
 def test_initial_of_ic_is_zero(case1, alpha1):
     case, data = case1
-    assert initial_mse(parse("I", Notation.PREFIX, alpha1), case, data) == 0.0
+    assert initial_mse(parse("I", Notation.PREFIX, alpha1), case) == 0.0
 
 
 def test_initial_of_zero_is_gaussian_energy(case1, alpha1):
     # derived oracle: closed-form Gaussian sum on the 10x10 plane
     case, data = case1
-    got = initial_mse(parse("0", Notation.PREFIX, alpha1), case, data)
+    got = initial_mse(parse("0", Notation.PREFIX, alpha1), case)
     xs, ys = np.meshgrid(data.xs, data.ys, indexing="ij")
     expected = float(np.mean((np.exp(-((xs - 1.1) ** 2 + ys**2)) / 0.08) ** 2))
     assert got == pytest.approx(expected, rel=1e-12)
@@ -210,7 +211,7 @@ def test_initial_of_zero_is_gaussian_energy(case1, alpha1):
 
 def test_initial_offset_by_one(case1, alpha1):
     case, data = case1
-    assert initial_mse(parse("I 1 +", Notation.POSTFIX, alpha1), case, data) == pytest.approx(1.0)
+    assert initial_mse(parse("I 1 +", Notation.POSTFIX, alpha1), case) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_objective_matches_component_ops(case1, alpha1, rng):
         assert finite
         assert bd.interior == interior
         assert list(bd.boundary) == boundary
-        assert bd.initial == initial_mse(e, case, data)
+        assert bd.initial == initial_mse(e, case)
 
 
 def test_total_is_exact_left_to_right_sum(case1, alpha1, rng):
@@ -303,6 +304,18 @@ def test_objective_deterministic(case1, alpha1):
     a = objective(e, case, data, config=ObjectiveConfig(threshold=0.0))
     b = objective(e, case, data, config=ObjectiveConfig(threshold=0.0))
     assert a == b
+
+
+def test_objective_raises_no_runtime_warning(case1, alpha1):
+    # exp 800 is inf on every plane, so the periodic-x difference is inf - inf;
+    # the fault makes the component inf without a warning
+    case, data = case1
+    e = parse("+ + + x y t exp 800", Notation.PREFIX, alpha1, mode="free")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd = objective(e, case, data, config=NO_GATE)
+    assert bd.boundary == (1.0, 1.0, math.inf, 0.0)
+    assert bd.initial == math.inf and bd.total == math.inf
 
 
 def test_mesh_refinement_stays_bounded(alpha1):

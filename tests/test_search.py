@@ -3,6 +3,7 @@ per-algorithm contracts that can be checked quickly."""
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -236,12 +237,33 @@ def test_all_algorithms_produce_valid_candidates(case1):
 
 def test_multithreaded_run_and_empty_marker(case1):
     case, data = case1
-    result = run_search(quick_config("rs", threads=4, max_evals=100), case, data)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often, so a check-then-act race shows
+    try:
+        result = run_search(quick_config("rs", threads=4, max_evals=100), case, data)
+    finally:
+        sys.setswitchinterval(interval)
     assert not result.empty
-    assert result.evaluations <= 100 + 4  # workers may finish one in flight
+    assert result.evaluations == 100
     empty = run_search(quick_config("rs", max_evals=0), case, data)
     assert empty.empty and empty.evaluations == 0
     assert empty.breakdown is None
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_max_evals_zero_scores_nothing(case1, algo):
+    case, data = case1
+    result = run_search(quick_config(algo, max_evals=0), case, data)
+    assert result.empty and result.evaluations == 0
+
+
+@pytest.mark.parametrize("algo", ("rs", "gp", "sa", "cmcts"))
+def test_two_workers_end_at_exact_cap(case1, algo):
+    case, data = case1
+    for token_mode in ("vars+const", "vars+const+opt"):
+        cfg = quick_config(algo, depth=3, threads=2, max_evals=30, token_mode=token_mode)
+        result = run_search(cfg, case, data)
+        assert result.evaluations == 30, token_mode
 
 
 def test_stop_below_short_circuits(case1):

@@ -157,16 +157,14 @@ def test_random_expressions_against_fd(alpha1, oracle):
     assert checked_points > 100_000
 
 
-def test_notation_equivalence_of_derivatives(case1, alpha1):
-    case, data = case1
+def test_notation_equivalence_of_derivatives(alpha1):
     rng = random.Random(777)
     for _ in range(200):
         e = sample_complete(rng, Notation.PREFIX, 5, alpha1)
         for var in "xyt":
-            a = eval_grid(convert_notation(differentiate(e, var), Notation.POSTFIX), data).values
-            b = eval_grid(differentiate(convert_notation(e, Notation.POSTFIX), var), data).values
-            both_nan = np.isnan(a) & np.isnan(b)
-            assert np.allclose(a[~both_nan], b[~both_nan], rtol=0, atol=1e-12)
+            a = convert_notation(differentiate(e, var), Notation.POSTFIX)
+            b = differentiate(convert_notation(e, Notation.POSTFIX), var)
+            assert a.tokens == b.tokens, (e.text, var)
 
 
 def test_differentiate_allocates_no_tokens(alpha1, monkeypatch):
