@@ -245,11 +245,10 @@ def sequence_depth(tokens: Sequence[Token], notation: Notation) -> int:
 
 @dataclass(frozen=True)
 class Expr:
-    """Flat token sequence plus notation tag and declared depth budget."""
+    """Flat token sequence plus notation tag."""
 
     notation: Notation
     tokens: tuple[Token, ...]
-    budget: int
 
     @cached_property
     def depth(self) -> int:
@@ -278,7 +277,8 @@ def make_expr(
     """Validate completeness, assign learnable-constant slots, wrap as Expr.
 
     Constant tokens without a slot id receive fresh ids in sequence order;
-    tokens that already carry a slot (derivative output) keep it.
+    tokens that already carry a slot keep it.  When ``budget`` is given the
+    tree depth must not exceed it.
     """
     toks = list(tokens)
     if not is_complete(toks, notation):
@@ -289,12 +289,11 @@ def make_expr(
         if tok.kind is TokenKind.CONST and tok.slot is None:
             toks[i] = Token(TokenKind.CONST, tok.text, slot=next_slot)
             next_slot += 1
-    depth = sequence_depth(toks, notation)
-    if budget is None:
-        budget = depth
-    elif depth > budget:
-        raise ExprError(f"depth {depth} exceeds budget {budget}")
-    return Expr(notation, tuple(toks), budget)
+    if budget is not None:
+        depth = sequence_depth(toks, notation)
+        if depth > budget:
+            raise ExprError(f"depth {depth} exceeds budget {budget}")
+    return Expr(notation, tuple(toks))
 
 
 # ---------------------------------------------------------------------------
@@ -505,4 +504,4 @@ def convert_notation(e: Expr, target: Notation) -> Expr:
         lambda tok, a: [tok] + a if prefix else a + [tok],
         lambda tok, a, b: [tok] + a + b if prefix else a + b + [tok],
     )
-    return Expr(target, tuple(out), e.budget)
+    return Expr(target, tuple(out))

@@ -249,13 +249,17 @@ def objective(
     infinite.
     """
     cfg = config or ObjectiveConfig()
-    try:
-        first = {v: differentiate(T, v, cfg.ic_derivatives) for v in ("x", "y", "t")}
-    except DerivativeOrderError as err:
-        return MseBreakdown.rejected(str(err))
-    # the gate tests x, y, t in this order and stops at the first miss
+    # the gate tests x, y, t in this order and stops at the first miss, so
+    # each derivative is taken only when the gate reaches it.  d/dx and d/dy
+    # fail on the same initial-condition leaves and d/dt never fails, so an
+    # order error is always met at x, before any grid is evaluated.
+    first: dict[str, Expr] = {}
     grids: dict[str, np.ndarray] = {}
     for v in ("x", "y", "t"):
+        try:
+            first[v] = differentiate(T, v, cfg.ic_derivatives)
+        except DerivativeOrderError as err:
+            return MseBreakdown.rejected(str(err))
         g = eval_grid(first[v], data, consts)
         if g.fault or _mean_abs(g.values) < cfg.threshold:
             return MseBreakdown.rejected()

@@ -509,7 +509,7 @@ def _run_sa(rng, ctx: _RunContext, scorer: _Scorer) -> None:
     cfg = ctx.config
     if cfg.seed_expr is not None:
         budget = max(cfg.depth, cfg.seed_expr.depth)
-        current = make_expr(cfg.seed_expr.tokens, cfg.seed_expr.notation, budget)
+        current = cfg.seed_expr
     else:
         budget = cfg.depth
         current = _random_expr(rng, ctx)

@@ -42,7 +42,7 @@ from .expr import (
     ZERO,
     fold,
     literal_token,
-    make_expr,
+    make_expr,  # unused here; bench/run.py traces symdiff.make_expr by name
 )
 
 
@@ -213,8 +213,8 @@ def _d_binary(op: str, a: Chunk, da: Chunk, b: Chunk, db: Chunk, em: _Emit) -> C
 def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
     """Exact symbolic derivative of ``e`` with respect to ``x``, ``y`` or ``t``.
 
-    The result uses the same notation; its evaluation equals the derivative of
-    ``e`` wherever both are defined.  ``ic_derivatives`` picks the reading of
+    The result uses the same notation and keeps the constant slots of ``e``;
+    its evaluation equals the derivative of ``e`` wherever both are defined.  ``ic_derivatives`` picks the reading of
     the initial-condition family (see the module docstring); under ``"data"``
     no :class:`DerivativeOrderError` can arise.  When several leaves have no
     stored derivative, the error names the first in token order, which is the
@@ -252,7 +252,7 @@ def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
             if tok.arity == 0:
                 d_leaf(tok, var)
         raise
-    return make_expr(chunk, e.notation)
+    return Expr(e.notation, tuple(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -299,4 +299,4 @@ def simplify(e: Expr) -> Expr:
         if len(out) == len(tokens) and all(a is b or a == b for a, b in zip(out, tokens)):
             break
         tokens = out
-    return make_expr(tokens, e.notation)
+    return Expr(e.notation, tuple(tokens))

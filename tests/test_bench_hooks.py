@@ -27,31 +27,46 @@ def load_bench(monkeypatch):
     return run, spans
 
 
-def test_traffic_spans_every_scoring_layer(monkeypatch, case1):
+def traced_search(monkeypatch, case1, token_mode, max_evals):
+    """Summary of a 1-worker ``rs`` search run under the benchmark's hooks."""
     run, spans = load_bench(monkeypatch)
     case, data = case1
     wrapped = {
         (padesr.search, "objective"): padesr.search.objective,
+        (padesr.search, "fit_constants"): padesr.search.fit_constants,
         (padesr.pde, "differentiate"): padesr.pde.differentiate,
         (padesr.pde, "eval_grid"): padesr.pde.eval_grid,
         (padesr.search.SharedState, "offer"): padesr.search.SharedState.offer,
+        (padesr.search.SharedState, "cache_get"): padesr.search.SharedState.cache_get,
     }
     tracer = spans.Tracer()
     traffic = run.Traffic(padesr, tracer)
     try:
         config = SearchConfig(algorithm="rs", depth=3, notation=Notation.POSTFIX,
-                              threads=1, time_budget=60.0, seed=1, max_evals=5)
+                              token_mode=token_mode, threads=1, time_budget=60.0,
+                              seed=1, max_evals=max_evals)
         result = padesr.search.run_search(config, case, data)
     finally:
         traffic.close()
-    assert result.evaluations == 5
+    assert result.evaluations == max_evals
+    for (owner, attr), original in wrapped.items():
+        assert getattr(owner, attr) is original, attr
     summary = tracer.summary()
+    assert summary.calls("search.offer") == max_evals
+    return summary
+
+
+def test_traffic_spans_every_scoring_layer(monkeypatch, case1):
+    summary = traced_search(monkeypatch, case1, "vars+const", 5)
     for name in ("pde.objective", "symdiff.differentiate", "evaluate.eval_grid",
                  "search.offer"):
         assert summary.calls(name) > 0, name
-    assert summary.calls("search.offer") == 5
-    for (owner, attr), original in wrapped.items():
-        assert getattr(owner, attr) is original, attr
+
+
+def test_traffic_spans_constant_fitting(monkeypatch, case1):
+    summary = traced_search(monkeypatch, case1, "vars+const+opt", 20)
+    for name in ("search.fit_constants", "search.cache_get", "symdiff.differentiate"):
+        assert summary.calls(name) > 0, name
 
 
 def test_gate_rejections_attributed_in_order(monkeypatch, case1, alpha1):

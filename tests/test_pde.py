@@ -264,6 +264,22 @@ def test_objective_gate_first(case1, alpha1):
     assert bd0.interior == 0.0
 
 
+@pytest.mark.parametrize("text, derivatives", [("+ y t", 1), ("+ x t", 2), ("+ x y", 3)])
+def test_gate_takes_each_derivative_when_it_reaches_it(case1, alpha1, monkeypatch,
+                                                       text, derivatives):
+    # a candidate rejected at x costs one differentiation, at y two, at t three
+    case, data = case1
+    calls = []
+
+    def counting(e, var, ic_derivatives="analytic"):
+        calls.append(var)
+        return differentiate(e, var, ic_derivatives)
+
+    monkeypatch.setattr("padesr.pde.differentiate", counting)
+    assert objective(parse(text, Notation.PREFIX, alpha1), case, data).gate_rejected
+    assert calls == list("xyt"[:derivatives])
+
+
 def test_objective_matches_component_ops(case1, alpha1, rng):
     case, data = case1
     cfg = ObjectiveConfig(threshold=0.0)
