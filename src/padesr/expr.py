@@ -274,21 +274,22 @@ class Expr:
 def make_expr(
     tokens: Iterable[Token], notation: Notation, budget: Optional[int] = None
 ) -> Expr:
-    """Validate completeness, assign learnable-constant slots, wrap as Expr.
+    """Validate completeness, number the learnable constants, wrap as Expr.
 
-    Constant tokens without a slot id receive fresh ids in sequence order;
-    tokens that already carry a slot keep it.  When ``budget`` is given the
-    tree depth must not exceed it.
+    Constant tokens get slots 0, 1, ... in token order, whatever slot they
+    carried, so spliced token runs never share a slot and one text always
+    means one slot layout.  When ``budget`` is given the tree depth must not
+    exceed it.
     """
     toks = list(tokens)
     if not is_complete(toks, notation):
         raise ExprError("incomplete expression")
-    taken = [t.slot for t in toks if t.kind is TokenKind.CONST and t.slot is not None]
-    next_slot = max(taken) + 1 if taken else 0
+    slot = 0
     for i, tok in enumerate(toks):
-        if tok.kind is TokenKind.CONST and tok.slot is None:
-            toks[i] = Token(TokenKind.CONST, tok.text, slot=next_slot)
-            next_slot += 1
+        if tok.kind is TokenKind.CONST:
+            if tok.slot != slot:
+                toks[i] = Token(TokenKind.CONST, tok.text, slot=slot)
+            slot += 1
     if budget is not None:
         depth = sequence_depth(toks, notation)
         if depth > budget:

@@ -449,34 +449,34 @@ def _run_pso(rng, ctx: _RunContext, scorer: _Scorer) -> None:
         swarm.step(score)
 
 
+def _crossover(rng: random.Random, a: Expr, b: Expr, budget: int) -> tuple[Expr, Expr]:
+    """Swap one span of ``a`` with one of ``b``, keeping both within ``budget``."""
+    pd_a = token_path_depths(a.tokens, a.notation)
+    pd_b = token_path_depths(b.tokens, b.notation)
+    for _ in range(GP_PAIR_RETRIES):
+        ia = rng.randrange(len(a.tokens))
+        ib = rng.randrange(len(b.tokens))
+        sa = span_at(a.tokens, ia, a.notation)
+        sb = span_at(b.tokens, ib, b.notation)
+        da = sequence_depth(a.tokens[sa[0]:sa[1]], a.notation)
+        db = sequence_depth(b.tokens[sb[0]:sb[1]], b.notation)
+        if pd_a[ia] + db <= budget and pd_b[ib] + da <= budget:
+            break
+    else:
+        # a leaf-for-leaf swap always fits the budget
+        ia = rng.choice([i for i, t in enumerate(a.tokens) if t.arity == 0])
+        ib = rng.choice([i for i, t in enumerate(b.tokens) if t.arity == 0])
+        sa = span_at(a.tokens, ia, a.notation)
+        sb = span_at(b.tokens, ib, b.notation)
+    child_a = make_expr(
+        a.tokens[:sa[0]] + b.tokens[sb[0]:sb[1]] + a.tokens[sa[1]:], a.notation, budget)
+    child_b = make_expr(
+        b.tokens[:sb[0]] + a.tokens[sa[0]:sa[1]] + b.tokens[sb[1]:], b.notation, budget)
+    return child_a, child_b
+
+
 def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
     budget = ctx.config.depth
-
-    def crossover(a: Expr, b: Expr) -> tuple[Expr, Expr]:
-        pd_a = token_path_depths(a.tokens, a.notation)
-        pd_b = token_path_depths(b.tokens, b.notation)
-        for _ in range(GP_PAIR_RETRIES):
-            ia = rng.randrange(len(a.tokens))
-            ib = rng.randrange(len(b.tokens))
-            sa = span_at(a.tokens, ia, a.notation)
-            sb = span_at(b.tokens, ib, b.notation)
-            da = sequence_depth(a.tokens[sa[0]:sa[1]], a.notation)
-            db = sequence_depth(b.tokens[sb[0]:sb[1]], b.notation)
-            if pd_a[ia] + db <= budget and pd_b[ib] + da <= budget:
-                break
-        else:
-            # a leaf-for-leaf swap always fits the budget
-            ia = rng.choice([i for i, t in enumerate(a.tokens) if t.arity == 0])
-            ib = rng.choice([i for i, t in enumerate(b.tokens) if t.arity == 0])
-            sa = span_at(a.tokens, ia, a.notation)
-            sb = span_at(b.tokens, ib, b.notation)
-        child_a = make_expr(
-            a.tokens[:sa[0]] + b.tokens[sb[0]:sb[1]] + a.tokens[sa[1]:],
-            a.notation, budget)
-        child_b = make_expr(
-            b.tokens[:sb[0]] + a.tokens[sa[0]:sa[1]] + b.tokens[sb[1]:],
-            b.notation, budget)
-        return child_a, child_b
 
     population: list[tuple[float, int, Expr]] = []
     counter = 0
@@ -492,7 +492,7 @@ def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
             if rng.random() < GP_CROSSOVER_PROB:
                 _, _, pa = population[rng.randrange(len(population))]
                 _, _, pb = population[rng.randrange(len(population))]
-                children.extend(crossover(pa, pb))
+                children.extend(_crossover(rng, pa, pb, budget))
             else:
                 _, _, parent = population[rng.randrange(len(population))]
                 children.append(_mutate_span(rng, parent, budget, ctx.alphabet))

@@ -9,12 +9,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padesr.expr import (
     BINARY_TOKENS,
     ExprError,
     Notation,
     ParseError,
+    Token,
     TokenKind,
     VAR_X,
     VAR_Y,
@@ -293,6 +295,17 @@ def test_const_slot_assignment(alpha1_opt):
     slots = [t.slot for t in e.tokens if t.kind is TokenKind.CONST]
     assert slots == [0, 1, 2]
     assert e.n_slots == 3
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=1, max_size=6))
+def test_make_expr_numbers_constants_in_token_order(carried):
+    # C tokens spliced from other expressions arrive with slots of their own
+    plus = BINARY_TOKENS["+"]
+    tokens = [Token(TokenKind.CONST, "C", slot=s) for s in carried]
+    tokens += [plus] * (len(carried) - 1)
+    e = make_expr(tokens, Notation.POSTFIX)
+    assert [t.slot for t in e.tokens if t.kind is TokenKind.CONST] == list(range(len(carried)))
+    assert e.n_slots == len(carried)
 
 
 def test_span_helpers(alpha1):

@@ -7,12 +7,15 @@ import sys
 
 import pytest
 
-from padesr.expr import Notation, parse
+from padesr.expr import (
+    Notation, TokenKind, convert_notation, make_expr, parse, sample_complete)
 from padesr.pde import ObjectiveConfig, case_alphabet, objective
 from padesr.search import (
     ALGORITHMS,
     SearchConfig,
     SharedState,
+    _crossover,
+    _mutate_span,
     fit_constants,
     pso_minimize,
     run_search,
@@ -87,6 +90,36 @@ def test_fit_constants_cached_and_deterministic(case1, alpha1_opt):
 
     other = SharedState()
     assert fit_constants(e, case, data, other, cfg) == first
+
+
+def const_slots(e):
+    return [t.slot for t in e.tokens if t.kind is TokenKind.CONST]
+
+
+def test_spliced_constants_get_distinct_slots(alpha1_opt):
+    # the mutant of "C x *" whose x became "C sqrt x exp -": both C tokens
+    # arrive with slot 0, and the parsed text numbers them 0 and 1
+    parent = parse("C x *", Notation.POSTFIX, alpha1_opt)
+    repl = parse("C sqrt x exp -", Notation.POSTFIX, alpha1_opt)
+    mutant = make_expr(parent.tokens[:1] + repl.tokens + parent.tokens[2:], Notation.POSTFIX)
+    assert mutant.text == "C C sqrt x exp - *"
+    assert const_slots(mutant) == const_slots(parse(mutant.text, Notation.POSTFIX, alpha1_opt))
+    assert const_slots(mutant) == [0, 1]
+
+
+@pytest.mark.parametrize("notation", [Notation.PREFIX, Notation.POSTFIX])
+def test_mutants_and_crossover_children_number_slots_in_order(alpha1_opt, notation):
+    rng = random.Random(3)
+    samples = (sample_complete(rng, Notation.POSTFIX, 4, alpha1_opt) for _ in range(2000))
+    parents = [convert_notation(e, notation) for e in samples if e.n_slots][:60]
+    offspring = [_mutate_span(rng, p, 4, alpha1_opt) for p in parents]
+    for a, b in zip(parents, parents[1:]):
+        offspring.extend(_crossover(rng, a, b, 4))
+    shared = [e for e in offspring if len(set(const_slots(e))) < len(const_slots(e))]
+    assert not shared, shared[:3]
+    for e in offspring:
+        assert const_slots(e) == list(range(e.n_slots)), e
+    assert sum(e.n_slots > 1 for e in offspring) >= 10
 
 
 # ---------------------------------------------------------------------------
