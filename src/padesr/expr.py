@@ -224,23 +224,10 @@ def is_complete(tokens: Sequence[Token], notation: Notation) -> bool:
 
 def sequence_depth(tokens: Sequence[Token], notation: Notation) -> int:
     """Tree depth of a complete token sequence (leaf = 0)."""
-    depths: list[int] = []
-    for tok in scan_order(tokens, notation):
-        a = tok.arity
-        if a == 0:
-            depths.append(0)
-        elif a == 1:
-            if not depths:
-                raise ExprError("operand underflow")
-            depths[-1] += 1
-        else:
-            if len(depths) < 2:
-                raise ExprError("operand underflow")
-            b = depths.pop()
-            depths[-1] = max(depths[-1], b) + 1
-    if len(depths) != 1:
+    if not is_complete(tokens, notation):
         raise ExprError("incomplete expression")
-    return depths[0]
+    return fold(tokens, notation, lambda tok: 0, lambda tok, d: d + 1,
+                lambda tok, a, b: max(a, b) + 1)
 
 
 @dataclass(frozen=True)
@@ -277,9 +264,8 @@ def make_expr(
     """Validate completeness, number the learnable constants, wrap as Expr.
 
     Constant tokens get slots 0, 1, ... in token order, whatever slot they
-    carried, so spliced token runs never share a slot and one text always
-    means one slot layout.  When ``budget`` is given the tree depth must not
-    exceed it.
+    carried, so one text always means one slot layout.  A given ``budget``
+    bounds the tree depth.
     """
     toks = list(tokens)
     if not is_complete(toks, notation):

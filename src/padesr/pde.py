@@ -249,10 +249,8 @@ def objective(
     infinite.
     """
     cfg = config or ObjectiveConfig()
-    # the gate tests x, y, t in this order and stops at the first miss, so
-    # each derivative is taken only when the gate reaches it.  d/dx and d/dy
-    # fail on the same initial-condition leaves and d/dt never fails, so an
-    # order error is always met at x, before any grid is evaluated.
+    # the gate tests x, y, t in this order and stops at the first miss.  An
+    # order error, if any, is met at x: d/dx and d/dy fail on the same leaves.
     first: dict[str, Expr] = {}
     grids: dict[str, np.ndarray] = {}
     for v in ("x", "y", "t"):

@@ -136,7 +136,7 @@ class SharedState:
         self.best_total = math.inf
         self.best: Optional[tuple[str, Expr, tuple[float, ...], MseBreakdown]] = None
         self.evaluations = 0
-        self.const_cache: dict[str, tuple[tuple[float, ...], float]] = {}
+        self.const_cache: dict[str, tuple[float, ...]] = {}
         self.stop = threading.Event()
         # concurrent-MCTS maps: N(s), N(s,a), Q(s,a)
         self.visits: dict[str, int] = {}
@@ -172,9 +172,9 @@ class SharedState:
     def cache_get(self, key: str):
         return self.const_cache.get(key)
 
-    def cache_put(self, key: str, consts: tuple[float, ...], total: float) -> None:
+    def cache_put(self, key: str, consts: tuple[float, ...]) -> None:
         with self._lock:
-            self.const_cache[key] = (consts, total)
+            self.const_cache[key] = consts
 
 
 class Swarm:
@@ -247,15 +247,15 @@ def fit_constants(
     key = e.key
     cached = shared.cache_get(key)
     if cached is not None:
-        return cached[0]
+        return cached
     rng = random.Random(_mix(config.seed, _key_salt(key)))
 
     def score(vector: Sequence[float]) -> float:
         return objective(e, case, data, vector, config.objective).total
 
-    best, best_f = pso_minimize(score, e.n_slots, rng)
+    best, _ = pso_minimize(score, e.n_slots, rng)
     consts = tuple(best)
-    shared.cache_put(key, consts, best_f)
+    shared.cache_put(key, consts)
     return consts
 
 
@@ -551,34 +551,41 @@ _ALGORITHM_LOOPS = {
 ALGORITHMS = tuple(_ALGORITHM_LOOPS)
 
 
-def _worker(ctx: _RunContext, index: int, logs: list) -> None:
+def _worker(ctx: _RunContext, index: int, logs: list, errors: list) -> None:
     rng = random.Random(_mix(ctx.config.seed, index))
     scorer = _Scorer(ctx)
     try:
         _ALGORITHM_LOOPS[ctx.config.algorithm](rng, ctx, scorer)
     except _CapSpent:
         pass
+    except Exception as err:  # ends the run; run_search re-raises it
+        errors.append(err)
+        ctx.shared.stop.set()
     logs[index] = scorer.log
 
 
 def run_search(config: SearchConfig, case: PdeCase, data: Dataset) -> SearchResult:
-    """Run the configured search; returns the best expression found in budget."""
+    """Run the configured search; returns the best expression found in budget.
+    An exception in any worker stops the others and is raised here."""
     alphabet = case_alphabet(case, config.token_mode)
     shared = SharedState()
     start = time.monotonic()
     ctx = _RunContext(config, case, data, alphabet, shared, start)
     logs: list = [[] for _ in range(config.threads)]
+    errors: list[Exception] = []
     if config.threads == 1:
-        _worker(ctx, 0, logs)
+        _worker(ctx, 0, logs, errors)
     else:
         threads = [
-            threading.Thread(target=_worker, args=(ctx, i, logs), daemon=True)
+            threading.Thread(target=_worker, args=(ctx, i, logs, errors), daemon=True)
             for i in range(config.threads)
         ]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
+    if errors:
+        raise errors[0]
     elapsed = time.monotonic() - start
     best, _, evaluations = shared.snapshot_best()
     improvements = tuple(sorted(entry for log in logs for entry in log))

@@ -214,11 +214,11 @@ def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
     """Exact symbolic derivative of ``e`` with respect to ``x``, ``y`` or ``t``.
 
     The result uses the same notation and keeps the constant slots of ``e``;
-    its evaluation equals the derivative of ``e`` wherever both are defined.  ``ic_derivatives`` picks the reading of
-    the initial-condition family (see the module docstring); under ``"data"``
-    no :class:`DerivativeOrderError` can arise.  When several leaves have no
-    stored derivative, the error names the first in token order, which is the
-    same leaf in both notations.
+    its evaluation equals the derivative of ``e`` wherever both are defined.
+    ``ic_derivatives`` picks the reading of the initial-condition family (see
+    the module docstring); under ``"data"`` no :class:`DerivativeOrderError`
+    can arise.  When several leaves have no stored derivative, the error
+    names the first in token order, which is the same leaf in both notations.
     """
     if var not in ("x", "y", "t"):
         raise ValueError(f"unknown variable {var!r}")

@@ -1,6 +1,7 @@
 """Search algorithms: constant fitting, shared state, determinism, and the
 per-algorithm contracts that can be checked quickly."""
 
+import itertools
 import math
 import random
 import sys
@@ -297,6 +298,21 @@ def test_two_workers_end_at_exact_cap(case1, algo):
         cfg = quick_config(algo, depth=3, threads=2, max_evals=30, token_mode=token_mode)
         result = run_search(cfg, case, data)
         assert result.evaluations == 30, token_mode
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_exception_is_raised(case1, monkeypatch, threads):
+    case, data = case1
+    calls = itertools.count(1)
+
+    def failing(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("scoring failed")
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr("padesr.search.objective", failing)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        run_search(quick_config("rs", threads=threads, max_evals=20), case, data)
 
 
 def test_stop_below_short_circuits(case1):
