@@ -116,8 +116,6 @@ def test_mutants_and_crossover_children_number_slots_in_order(alpha1_opt, notati
     offspring = [_mutate_span(rng, p, 4, alpha1_opt) for p in parents]
     for a, b in zip(parents, parents[1:]):
         offspring.extend(_crossover(rng, a, b, 4))
-    shared = [e for e in offspring if len(set(const_slots(e))) < len(const_slots(e))]
-    assert not shared, shared[:3]
     for e in offspring:
         assert const_slots(e) == list(range(e.n_slots)), e
     assert sum(e.n_slots > 1 for e in offspring) >= 10
