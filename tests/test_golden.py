@@ -14,6 +14,12 @@ over its 50 particles, so ``LONG`` runs 300 evaluations at depth 3 under
 ``vars+const``; there GP and PSO find improvements among GP's offspring and
 after PSO's velocity update, and MCTS after its root is fully expanded.
 
+Neither set scores a candidate whose constant slots a mutation carried over:
+``SHORT`` fits no such candidate and ``LONG`` has no ``C``.  ``CONSTANTS``
+runs SA under ``vars+const+opt`` at depth 4, seed 3, for 100 evaluations, long
+enough that its mutants carry constants and the slot numbering of
+``make_expr`` shows in the fitted vectors and totals.
+
 The values were recorded before the search and scoring code paths were
 merged; a refactor that must keep trajectories may not edit them.
 """
@@ -28,6 +34,7 @@ from padesr.search import ALGORITHMS, SearchConfig, run_search
 
 SHORT = dict(depth=4, max_evals=40, token_modes=("vars+const", "vars+const+opt"))
 LONG = dict(depth=3, max_evals=300, token_modes=("vars+const",))
+CONSTANTS = dict(depth=4, max_evals=100, token_modes=("vars+const+opt",), seed=3)
 
 GOLDEN_SHORT = {
     "rs": "906c8cbb03bc6c54503fabf7c38a7a41ef315cc9079019dffb8cf9ae93f756fa",
@@ -45,9 +52,10 @@ GOLDEN_LONG = {
     "gp": "c31ce61e676e1a9f23c9d48f024863ad613a4818d9e2cb1c772dcb9d4388bb80",
     "sa": "6074a9e22cf218064a55974fe3f7b72e6af0b538f1979ea4149a83bb630e598e",
 }
+GOLDEN_CONSTANTS_SA = "5af49d294dfdd663cf75d8ee1b288fb56c7709c58b52fa7f0ee57ccbff3cde60"
 
 
-def trajectory_digest(algo, case, data, depth, max_evals, token_modes):
+def trajectory_digest(algo, case, data, depth, max_evals, token_modes, seed=7):
     digest = hashlib.sha256()
     for notation in (Notation.PREFIX, Notation.POSTFIX):
         for token_mode in token_modes:
@@ -58,7 +66,7 @@ def trajectory_digest(algo, case, data, depth, max_evals, token_modes):
                 token_mode=token_mode,
                 threads=1,
                 time_budget=600.0,  # the evaluation cap ends every run
-                seed=7,
+                seed=seed,
                 objective=ObjectiveConfig(threshold=0.0),
                 max_evals=max_evals,
             )
@@ -86,3 +94,8 @@ def test_golden_trajectory_short(algo, case1):
 def test_golden_trajectory_long(algo, case1):
     case, data = case1
     assert trajectory_digest(algo, case, data, **LONG) == GOLDEN_LONG[algo]
+
+
+def test_golden_trajectory_constants(case1):
+    case, data = case1
+    assert trajectory_digest("sa", case, data, **CONSTANTS) == GOLDEN_CONSTANTS_SA

@@ -6,6 +6,11 @@ the simplified form, the infix rendering and the converted twin.  The digest
 was recorded before the per-notation walkers were merged into one stack scan;
 a refactor that must keep every output may not edit it.
 
+``test_eval_digest`` hashes the evaluated grids of the same corpus and of its
+first derivatives by x, y and t: value bytes and fault flag of each grid on
+case 1's 10^3 mesh, constants 0.5, 1.5, ...  It was recorded before grid
+evaluation moved onto the shared stack scan and pins evaluation bit for bit.
+
 The corpus is seeded postfix samples at depths 2-8 in all three token modes
 plus their prefix twins made by ``convert_notation``.  Prefix sampling with
 literals stops after about three tokens, so the twins are what cover long
@@ -42,6 +47,7 @@ from padesr.pde import TOKEN_MODES, build_case, case_alphabet
 from padesr.symdiff import DerivativeOrderError, differentiate, simplify
 
 NOTATION_DIGEST = "604f2de19a3de6e0e53bf9567389a7f31f1432e648eb6d7c58c25f9c90da1c33"
+EVAL_DIGEST = "6f4fe9224039dde4d5df5e8b740b70e1251d7c6356730480eb66e0a6b9b03cc7"
 
 DEPTHS = range(2, 9)
 PER_CONFIG = 50
@@ -97,6 +103,26 @@ def test_notation_digest(case1):
         count += 1
     assert count == len(TOKEN_MODES) * len(DEPTHS) * PER_CONFIG * 2
     assert digest.hexdigest() == NOTATION_DIGEST
+
+
+def test_eval_digest(case1):
+    case, data = case1
+    digest = hashlib.sha256()
+    count = 0
+    for e in corpus(case):
+        consts = [0.5 + i for i in range(e.n_slots)]
+        for var in (None, "x", "y", "t"):
+            try:
+                target = e if var is None else differentiate(e, var)
+            except DerivativeOrderError as err:
+                digest.update(f"error|{err}\n".encode())
+                continue
+            g = eval_grid(target, data, consts)
+            digest.update(g.values.tobytes())
+            digest.update(b"F" if g.fault else b"-")
+            count += 1
+    assert count == 8400
+    assert digest.hexdigest() == EVAL_DIGEST
 
 
 # ---------------------------------------------------------------------------
