@@ -222,7 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_search(args) -> int:
     merged = {}
     if args.config:
-        merged.update(_load_config_file(args.config))
+        try:
+            merged.update(_load_config_file(args.config))
+        except OSError as err:
+            print(f"error: config file: {err}", file=sys.stderr)
+            return 2
     for key, attr in (
         ("case", "case"), ("algo", "algo"), ("depth", "depth"),
         ("notation", "notation"), ("tokens", "tokens"), ("threads", "threads"),
@@ -248,10 +252,10 @@ def _cmd_search(args) -> int:
             mesh=mesh,
         )
         notation = Notation(merged["notation"])
+        case, data = build_case(merged["case"], mesh)
     except (argparse.ArgumentTypeError, ValueError) as err:
         print(f"error: bad option value: {err}", file=sys.stderr)
         return 2
-    case, data = build_case(merged["case"], mesh)
     seed_expr = None
     if merged.get("seed-expr"):
         alphabet = case_alphabet(case, "vars+const+opt")
@@ -300,7 +304,7 @@ def _cmd_evaluate(args) -> int:
     alphabet = case_alphabet(case, "vars+const+opt")
     try:
         bindings = _parse_bindings(args.bind)
-    except argparse.ArgumentTypeError as err:
+    except (argparse.ArgumentTypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

@@ -1,10 +1,13 @@
-"""Stack-based vectorized evaluation of flat expressions over mesh grids.
+"""Vectorized evaluation of flat expressions over mesh grids.
 
 A :class:`Dataset` holds the three inclusive axis linspaces and one value grid
-per leaf token, flattened x-major (index ``(ix*ny + iy)*nt + it``).  The
-initial-condition feature ``I`` and its derivative family up to second order
-are precomputed analytically from the Gaussian profile.  Domain faults (log of
-a non-positive value, square root of a negative, arcsin/arccos outside
+for each of x, y, t and the initial-condition feature ``I`` with its
+derivative family up to second order (precomputed analytically from the
+Gaussian profile), flattened x-major (index ``(ix*ny + iy)*nt + it``).
+Literals, named ones included, and learnable constants evaluate by value.
+:func:`eval_grid` combines an expression in one :func:`~padesr.expr.fold`
+stack scan, the walk every other pass over tokens uses.  Domain faults (log
+of a non-positive value, square root of a negative, arcsin/arccos outside
 [-1, 1], division by zero, powers leaving the reals) evaluate to NaN and raise
 the grid's fault flag; candidates are rejected wholesale by the objective
 rather than patched with protected operators.
@@ -17,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, Notation, TokenKind, scan_order
+from .expr import Expr, Token, TokenKind, fold
 
 
 class EvalError(ValueError):
@@ -72,7 +75,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Axes plus one flat grid per leaf token of the search alphabet."""
+    """Axes plus one flat grid per variable and per ``I``-family token."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -87,7 +90,6 @@ def build_dataset(
     ys: Sequence[float],
     ts: Sequence[float],
     ic: GaussianIc,
-    literal_values: Optional[Mapping[str, float]] = None,
 ) -> Dataset:
     """Product-mesh dataset over the given axis arrays.
 
@@ -105,8 +107,6 @@ def build_dataset(
     leaf: dict[str, np.ndarray] = {"x": gx, "y": gy, "t": gt}
     for text, (ox, oy) in _IC_SPELLINGS.items():
         leaf[text] = ic.derivative(ox, oy, gx, gy)
-    for name, value in (literal_values or {}).items():
-        leaf[name] = np.broadcast_to(np.float64(value), (n,))
     return Dataset(xs, ys, ts, leaf, (nx, ny, nt), n)
 
 
@@ -171,65 +171,28 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# compiled programs
-
-_LEAF, _LIT, _CONST, _UN, _BIN_LR, _BIN_RL = range(6)
-
-
-def _compile(e: Expr) -> list[tuple]:
-    program = getattr(e, "_program", None)
-    if program is not None:
-        return program
-    # a reversed prefix scan meets a binary's left operand on top of the stack
-    bin_code = _BIN_LR if e.notation is Notation.POSTFIX else _BIN_RL
-    program = []
-    for tok in scan_order(e.tokens, e.notation):
-        kind = tok.kind
-        if kind is TokenKind.LITERAL:
-            program.append((_LIT, tok.value))
-        elif kind is TokenKind.CONST:
-            program.append((_CONST, tok.slot))
-        elif kind is TokenKind.UNARY:
-            program.append((_UN, UNARY_FUNCS[tok.text]))
-        elif kind is TokenKind.BINARY:
-            program.append((bin_code, BINARY_FUNCS[tok.text]))
-        else:
-            program.append((_LEAF, tok.text))
-    object.__setattr__(e, "_program", program)
-    return program
-
-
-def _run(program, leaf, consts):
-    stack: list = []
-    push = stack.append
-    with np.errstate(all="ignore"):
-        for code, arg in program:
-            if code == _LEAF:
-                try:
-                    push(leaf[arg])
-                except KeyError:
-                    raise EvalError(f"dataset has no grid for leaf {arg!r}") from None
-            elif code == _LIT:
-                push(arg)
-            elif code == _CONST:
-                if consts is None or arg >= len(consts):
-                    raise EvalError(f"missing value for constant slot {arg}")
-                push(float(consts[arg]))
-            elif code == _UN:
-                stack[-1] = arg(stack[-1])
-            elif code == _BIN_LR:
-                b = stack.pop()
-                stack[-1] = arg(stack[-1], b)
-            else:
-                a = stack.pop()
-                stack[-1] = arg(a, stack[-1])
-    return stack[-1]
+# evaluation
 
 
 def eval_grid(e: Expr, data: Dataset, consts: Optional[Sequence[float]] = None) -> Grid:
     """Evaluate over every mesh point of ``data`` in one stack scan."""
-    values = _run(_compile(e), data.leaf, consts)
+    def leaf(tok: Token):
+        kind = tok.kind
+        if kind is TokenKind.LITERAL:
+            return tok.value
+        if kind is TokenKind.CONST:
+            if consts is None or tok.slot >= len(consts):
+                raise EvalError(f"missing value for constant slot {tok.slot}")
+            return float(consts[tok.slot])
+        try:
+            return data.leaf[tok.text]
+        except KeyError:
+            raise EvalError(f"dataset has no grid for leaf {tok.text!r}") from None
+
+    with np.errstate(all="ignore"):
+        values = fold(e.tokens, e.notation, leaf,
+                      lambda tok, a: UNARY_FUNCS[tok.text](a),
+                      lambda tok, a, b: BINARY_FUNCS[tok.text](a, b))
     if np.ndim(values) == 0:
         values = np.full(data.n, float(values))
-    fault = not bool(np.isfinite(values).all())
-    return Grid(values, fault)
+    return Grid(values, not bool(np.isfinite(values).all()))

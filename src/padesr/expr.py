@@ -372,15 +372,17 @@ def legal_tokens(
     return out
 
 
-def sample_complete(rng, notation: Notation, budget: int, alphabet: Alphabet) -> Expr:
-    """Random expression: draw uniformly from the legal set until it empties."""
-    partial: list[Token] = []
+def sample_complete(rng, notation: Notation, budget: int, alphabet: Alphabet,
+                    partial: Sequence[Token] = ()) -> Expr:
+    """Random completion of ``partial`` (by default a whole expression): draw
+    uniformly from the legal set until it empties."""
+    toks = list(partial)
     while True:
-        legal = legal_tokens(partial, notation, budget, alphabet)
+        legal = legal_tokens(toks, notation, budget, alphabet)
         if not legal:
             break
-        partial.append(legal[rng.randrange(len(legal))])
-    return make_expr(partial, notation, budget)
+        toks.append(legal[rng.randrange(len(legal))])
+    return make_expr(toks, notation, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -136,19 +136,14 @@ def build_case(
     ys = linspace_axis(y_lo, y_hi, ny)
     ts = linspace_axis(t_lo, t_hi, nt)
     ic = recipe["ic"]
-    literals = {
-        "x_min": x_lo, "x_max": x_hi,
-        "y_min": y_lo, "y_max": y_hi,
-        "t_min": t_lo, "t_max": t_hi,
-    }
-    data = build_dataset(xs, ys, ts, ic, literals)
+    data = build_dataset(xs, ys, ts, ic)
     planes = {
-        ("x", "lo"): build_dataset([x_lo], ys, ts, ic, literals),
-        ("x", "hi"): build_dataset([x_hi], ys, ts, ic, literals),
-        ("y", "lo"): build_dataset(xs, [y_lo], ts, ic, literals),
-        ("y", "hi"): build_dataset(xs, [y_hi], ts, ic, literals),
+        ("x", "lo"): build_dataset([x_lo], ys, ts, ic),
+        ("x", "hi"): build_dataset([x_hi], ys, ts, ic),
+        ("y", "lo"): build_dataset(xs, [y_lo], ts, ic),
+        ("y", "hi"): build_dataset(xs, [y_hi], ts, ic),
     }
-    ic_plane = build_dataset(xs, ys, [t_lo], ic, literals)
+    ic_plane = build_dataset(xs, ys, [t_lo], ic)
     case = PdeCase(
         name=case_id,
         x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi, t_lo=t_lo, t_hi=t_hi,

@@ -100,6 +100,10 @@ class SearchConfig:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.max_evals is not None and self.max_evals < 0:
             raise ValueError(f"max_evals must be >= 0, got {self.max_evals}")
+        if self.seed_expr is not None and self.algorithm != "sa":
+            raise ValueError(f"only sa reads a seed expression, not {self.algorithm!r}")
+        if self.seed_expr is not None and self.seed_expr.notation is not self.notation:
+            raise ValueError("the seed expression's notation differs from the search's")
 
 
 @dataclass(frozen=True)
@@ -369,16 +373,6 @@ def _run_rs(rng, ctx: _RunContext, scorer: _Scorer) -> None:
         scorer.score(_random_expr(rng, ctx))
 
 
-def _rollout(rng, ctx: _RunContext, partial: list[Token]) -> Expr:
-    cfg = ctx.config
-    toks = list(partial)
-    while True:
-        legal = legal_tokens(toks, cfg.notation, cfg.depth, ctx.alphabet)
-        if not legal:
-            return make_expr(toks, cfg.notation, cfg.depth)
-        toks.append(legal[rng.randrange(len(legal))])
-
-
 def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer) -> None:
     cfg = ctx.config
     shared = ctx.shared
@@ -396,18 +390,14 @@ def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer) -> None:
         partial: list[Token] = []
         state_key = ""
         path: list[tuple[str, str]] = []
-        while True:
-            legal = legal_tokens(partial, cfg.notation, cfg.depth, ctx.alphabet)
-            if not legal:
-                expr = make_expr(partial, cfg.notation, cfg.depth)
-                break
+        while legal := legal_tokens(partial, cfg.notation, cfg.depth, ctx.alphabet):
             tok, expand = select_action(state_key, legal, *stats, c, rng if concurrent else None)
             path.append((state_key, tok.text))
             partial.append(tok)
             if expand:
-                expr = _rollout(rng, ctx, partial)
                 break
             state_key = tok.text if not state_key else f"{state_key} {tok.text}"
+        expr = sample_complete(rng, cfg.notation, cfg.depth, ctx.alphabet, partial)
         breakdown = scorer.score(expr)
         reward = 1.0 / (1.0 + breakdown.total)
         for skey, atext in path:

@@ -25,7 +25,7 @@ def shifted_dataset(case, data, var, delta):
         ys = ys + delta
     else:
         ts = ts + delta
-    return build_dataset(xs, ys, ts, case.ic, case.bounds())
+    return build_dataset(xs, ys, ts, case.ic)
 
 
 class FdOracle:

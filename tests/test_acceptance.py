@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or let the full suite pick
-it up).
+it up).  Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite as a fast loop.
 
 Criteria 3 and 8 check the paper's reported numbers.  Those are within reach
 only when the initial-condition feature ``I`` is an input column with zero
@@ -21,6 +22,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from fd_oracle import FdOracle
 from padesr.cli import SWEEP_HEADER, main, parse_report
@@ -30,6 +32,8 @@ from padesr.pde import ObjectiveConfig, build_case, objective
 from padesr.search import SearchConfig, run_search
 from padesr.symdiff import differentiate
 from test_expr import enumerate_trees, expand_all
+
+pytestmark = pytest.mark.acceptance
 
 # reference expressions and their externally reported scores (10^3 mesh)
 CASE1_BEST = "- ^ I ^ tanh I sqrt t * sech + I / t * 0.2 y sech + x + y ^ 2 I"

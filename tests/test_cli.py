@@ -270,6 +270,7 @@ SWEEP_ARGV = ("sweep", "--case", "case1", "--algos", "rs", "--depths", "1",
     SEARCH_ARGV + ("--time", "0"),
     SEARCH_ARGV + ("--depth", "-1"),
     SEARCH_ARGV + ("--mesh", "10,10,1"),
+    SEARCH_ARGV + ("--seed-expr", "x"),  # only sa reads a seed expression
     SWEEP_ARGV + ("--threads", "0"),
     SWEEP_ARGV + ("--time-per-config", "0"),
     SWEEP_ARGV + ("--depths", "-1"),
@@ -285,6 +286,26 @@ def test_bad_option_value_exit_2(tmp_path, capsys, argv):
     assert not out
     assert "error" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("config", ["missing", "case=bogus\nalgo=rs\ndepth=1\nnotation=postfix\n"],
+                         ids=["missing", "unknown case"])
+def test_search_config_file_errors_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "run.cfg"
+    if config != "missing":
+        path.write_text(config)
+    code, out, err = run_cli(capsys, "search", "--config", str(path))
+    assert code == 2
+    assert not out
+    assert "error" in err
+
+
+def test_evaluate_bad_binding_exit_2(capsys):
+    code, out, err = run_cli(capsys, "evaluate", "--case", "case1", "--notation", "postfix",
+                             "--expr", "x y_0 +", "--bind", "y_0=abc")
+    assert code == 2
+    assert not out
+    assert "error" in err
 
 
 def test_env_threads_default(tmp_path, capsys, monkeypatch):

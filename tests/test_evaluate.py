@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from padesr.evaluate import EvalError, GaussianIc, build_dataset, eval_grid
-from padesr.expr import Notation, convert_notation, parse, sample_complete
+from padesr.expr import IC_FAMILY, Notation, convert_notation, parse, sample_complete
 
 NOTATIONS = (Notation.PREFIX, Notation.POSTFIX)
 
@@ -149,15 +149,13 @@ def test_dataset_layout_and_linspace():
 
 
 def test_dataset_has_grid_per_leaf(case1, alpha1):
+    """Variables and the I family have grids; literals evaluate by value."""
     _, data = case1
+    assert set(data.leaf) == {"x", "y", "t"} | {tok.text for tok in IC_FAMILY}
     for tok in alpha1.leaves:
-        if tok.kind.name == "CONST":
-            continue
         if tok.kind.name == "LITERAL":
-            if tok.text in data.leaf:
-                assert np.all(data.leaf[tok.text] == tok.value)
-            else:
-                assert tok.value is not None  # plain digits broadcast by value
+            e = parse(tok.text, Notation.POSTFIX, alpha1)
+            assert np.all(eval_grid(e, data).values == tok.value)
         else:
             assert tok.text in data.leaf
 

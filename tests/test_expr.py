@@ -160,6 +160,16 @@ def test_sample_deterministic(alpha1):
         assert a == b
 
 
+def test_sample_completes_partial(alpha1):
+    for notation in NOTATIONS:
+        whole = sample_complete(random.Random(7), notation, 5, alpha1)
+        for k in range(len(whole.tokens) + 1):
+            e = sample_complete(random.Random(k), notation, 5, alpha1, whole.tokens[:k])
+            assert e.tokens[:k] == whole.tokens[:k]
+            assert e.depth <= 5
+        assert sample_complete(random.Random(7), notation, 5, alpha1, whole.tokens) == whole
+
+
 def tree_depth_oracle(tokens, notation):
     """Independent depth check: build the actual tree, measure recursively."""
     nodes = []  # (token, children)

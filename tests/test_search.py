@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from padesr.expr import (
-    Notation, TokenKind, convert_notation, make_expr, parse, sample_complete)
+    VAR_X, Notation, TokenKind, convert_notation, make_expr, parse, sample_complete)
 from padesr.pde import ObjectiveConfig, case_alphabet, objective
 from padesr.search import (
     ALGORITHMS,
@@ -329,6 +329,8 @@ def test_invalid_configs_rejected():
         ("rs", {"time_budget": 0.0}),
         ("rs", {"depth": -1}),
         ("rs", {"max_evals": -1}),
+        ("rs", {"seed_expr": make_expr([VAR_X], Notation.POSTFIX)}),  # only sa reads it
+        ("sa", {"seed_expr": make_expr([VAR_X], Notation.PREFIX)}),  # notation differs
     ):
         with pytest.raises(ValueError):
             quick_config(algo, **bad)
