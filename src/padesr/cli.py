@@ -47,13 +47,20 @@ _TOKEN_MODE_FLAGS = {
 
 
 def _default_threads() -> int:
+    """Worker count from ``PADESR_THREADS``, 1 when it is unset or empty.
+
+    Raises ValueError unless the value is a positive integer.
+    """
     value = os.environ.get("PADESR_THREADS")
-    if value:
-        try:
-            return max(int(value), 1)
-        except ValueError:
-            pass
-    return 1
+    if not value:
+        return 1
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"PADESR_THREADS must be a positive integer, got {value!r}")
+    return threads
 
 
 def _parse_mesh(text: str) -> tuple[int, int, int]:
@@ -256,11 +263,17 @@ def _cmd_search(args) -> int:
     except (argparse.ArgumentTypeError, ValueError) as err:
         print(f"error: bad option value: {err}", file=sys.stderr)
         return 2
+    token_mode = str(merged.get("tokens", "vars+const"))
     seed_expr = None
     if merged.get("seed-expr"):
-        alphabet = case_alphabet(case, "vars+const+opt")
+        # the seed uses the run's own tokens: mutation carries them into the best
         try:
-            seed_expr = parse(str(merged["seed-expr"]), notation, alphabet, mode="free")
+            alphabet = case_alphabet(case, token_mode)
+        except ValueError as err:
+            print(f"error: bad option value: {err}", file=sys.stderr)
+            return 2
+        try:
+            seed_expr = parse(str(merged["seed-expr"]), notation, alphabet)
         except ParseError as err:
             print(f"error: seed expression: {err}", file=sys.stderr)
             return 2
@@ -269,8 +282,8 @@ def _cmd_search(args) -> int:
             algorithm=str(merged["algo"]),
             depth=int(merged["depth"]),
             notation=notation,
-            token_mode=str(merged.get("tokens", "vars+const")),
-            threads=int(merged.get("threads", _default_threads())),
+            token_mode=token_mode,
+            threads=int(merged["threads"]) if "threads" in merged else _default_threads(),
             time_budget=float(merged.get("time", 5.0)),
             seed=int(merged.get("seed", 0)),
             objective=obj,
@@ -359,9 +372,9 @@ def _cmd_sweep(args) -> int:
     lo, hi = args.depths
     grid = itertools.product(names(args.algos), names(args.notations), range(lo, hi + 1),
                              names(args.token_sets))
-    threads = args.threads if args.threads is not None else _default_threads()
     obj = ObjectiveConfig(mesh=args.mesh)
     try:
+        threads = args.threads if args.threads is not None else _default_threads()
         configs = [
             SearchConfig(
                 algorithm=algo,

@@ -10,7 +10,11 @@ threshold are rejected with an infinite total, which blocks constant
 ``I`` is differentiated (see :mod:`padesr.symdiff`); every derivative the
 objective takes, first and second order, uses that one reading.
 :func:`objective` is the one scoring pass: its :class:`MseBreakdown` carries
-every component and the gate decision.
+every component and the gate decision.  It builds a :class:`ScoringPlan`, which
+holds what scoring one expression needs that no constant vector changes: the
+derivatives, taken as the gate reaches them, and the grids of derivatives
+without a learnable constant.  Fitting constants scores every candidate vector
+against one plan, so an expression is differentiated once per fit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
-from .evaluate import Dataset, GaussianIc, build_dataset, eval_grid, linspace_axis
+from .evaluate import Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis
 from .expr import Alphabet, Expr, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -190,40 +194,116 @@ class MseBreakdown:
         return cls(math.inf, (), math.inf, math.inf, True, note)
 
 
+def _mean(values: np.ndarray) -> float:
+    return np.add.reduce(values) / values.size  # np.mean's sum and division
+
+
 def _mean_square(values: np.ndarray) -> float:
     if not np.isfinite(values).all():
         return math.inf
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.square(values)))
-
-
-def _mean_abs(values: np.ndarray) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.abs(values)))
-
-
-def _boundary_term(
-    T: Expr,
-    case: PdeCase,
-    bc: BoundaryCondition,
-    consts,
-    first: dict[str, Expr],
-) -> float:
-    if bc.kind is BcKind.DERIV_ZERO:
-        g = eval_grid(first[bc.axis], case.planes[(bc.axis, bc.location)], consts)
-        return _mean_square(g.values)
-    probe = T if bc.kind is BcKind.PERIODIC_VALUE else first[bc.axis]
-    lo = eval_grid(probe, case.planes[(bc.axis, "lo")], consts)
-    hi = eval_grid(probe, case.planes[(bc.axis, "hi")], consts)
-    with np.errstate(all="ignore"):  # inf - inf is NaN, and the term is inf
-        diff = lo.values - hi.values
-    return _mean_square(diff)
+    return float(_mean(np.square(values)))
 
 
 def initial_mse(T: Expr, case: PdeCase, consts: Optional[Sequence[float]] = None) -> float:
     """Mean of (T - I)^2 over the (x, y) plane at t = t_lo."""
     g = eval_grid(T, case.ic_plane, consts)
-    return _mean_square(g.values - case.ic_plane.leaf["I"])
+    with np.errstate(all="ignore"):
+        return _mean_square(g.values - case.ic_plane.leaf["I"])
+
+
+class ScoringPlan:
+    """The part of scoring ``T`` that no constant vector changes.
+
+    Derived expressions are named by the variables they differentiate by:
+    ``""`` is ``T``, ``"x"`` is dT/dx, ``"xx"`` is d2T/dx2.  Each is taken
+    when :meth:`score` first reaches it, the first derivatives as the gate
+    reaches x, y and t; a :class:`DerivativeOrderError` is recorded once and
+    raised again on every later request.  The grid of a derived expression
+    without a ``C`` token is kept, one per dataset, so scoring many constant
+    vectors evaluates it once.  A plan caches without a lock: build one per
+    worker and expression.
+    """
+
+    def __init__(self, T: Expr, config: Optional[ObjectiveConfig] = None):
+        self.config = config or ObjectiveConfig()
+        self._derived: dict[str, Expr | DerivativeOrderError] = {"": T}
+        self._grids: dict[tuple[str, int], tuple[Dataset, Grid]] = {}
+
+    def _derivative(self, name: str) -> Expr:
+        found = self._derived.get(name)
+        if found is None:
+            try:
+                found = differentiate(self._derivative(name[:-1]), name[-1],
+                                      self.config.ic_derivatives)
+            except DerivativeOrderError as err:
+                found = err
+            self._derived[name] = found
+        if isinstance(found, DerivativeOrderError):
+            raise found.with_traceback(None)
+        return found
+
+    def _grid(self, name: str, data: Dataset, consts) -> Grid:
+        e = self._derivative(name)
+        if e.n_slots:
+            return eval_grid(e, data, consts)
+        key = (name, id(data))  # the entry holds ``data``, so its id stays unique
+        kept = self._grids.get(key)
+        if kept is None:
+            kept = self._grids[key] = (data, eval_grid(e, data, consts))
+        return kept[1]
+
+    def _boundary_term(self, case: PdeCase, bc: BoundaryCondition, consts) -> float:
+        if bc.kind is BcKind.DERIV_ZERO:
+            g = self._grid(bc.axis, case.planes[(bc.axis, bc.location)], consts)
+            return _mean_square(g.values)
+        probe = "" if bc.kind is BcKind.PERIODIC_VALUE else bc.axis
+        lo = self._grid(probe, case.planes[(bc.axis, "lo")], consts)
+        hi = self._grid(probe, case.planes[(bc.axis, "hi")], consts)
+        return _mean_square(lo.values - hi.values)  # inf - inf is NaN, and the term is inf
+
+    def score(
+        self,
+        case: PdeCase,
+        data: Dataset,
+        consts: Optional[Sequence[float]] = None,
+    ) -> MseBreakdown:
+        """The breakdown :func:`objective` documents, for one constant vector."""
+        with np.errstate(all="ignore"):  # a non-finite value makes its term inf
+            # the gate tests x, y, t in this order and stops at the first
+            # miss.  An order error, if any, is met at x: d/dx and d/dy fail
+            # on the same leaves.
+            grids: dict[str, np.ndarray] = {}
+            for v in ("x", "y", "t"):
+                try:
+                    g = self._grid(v, data, consts)
+                except DerivativeOrderError as err:
+                    return MseBreakdown.rejected(str(err))
+                if g.fault or _mean(np.abs(g.values)) < self.config.threshold:
+                    return MseBreakdown.rejected()
+                grids[v] = g.values
+            try:
+                self._derivative("xx")
+                self._derivative("yy")
+            except DerivativeOrderError:
+                interior = math.inf
+            else:
+                laplacian = (self._grid("xx", data, consts).values
+                             + self._grid("yy", data, consts).values)
+                residual = (
+                    grids["t"]
+                    + case.ux_grid * grids["x"]
+                    + case.uy_grid * grids["y"]
+                    - case.kappa * laplacian
+                )
+                interior = _mean_square(residual)
+            boundary = tuple(self._boundary_term(case, bc, consts) for bc in case.bcs)
+            g = self._grid("", case.ic_plane, consts)
+            initial = _mean_square(g.values - case.ic_plane.leaf["I"])
+        total = interior
+        for term in boundary:
+            total += term
+        total += initial
+        return MseBreakdown(interior, boundary, initial, total, False)
 
 
 def objective(
@@ -241,42 +321,7 @@ def objective(
     over ``data``; the boundary terms follow ``case.bcs``; the initial term is
     :func:`initial_mse`.  An unsupported first derivative rejects ``T`` with a
     note; a fault, or an unsupported second derivative, makes its component
-    infinite.
+    infinite.  Scoring many constant vectors of one ``T`` goes through one
+    :class:`ScoringPlan` instead.
     """
-    cfg = config or ObjectiveConfig()
-    # the gate tests x, y, t in this order and stops at the first miss.  An
-    # order error, if any, is met at x: d/dx and d/dy fail on the same leaves.
-    first: dict[str, Expr] = {}
-    grids: dict[str, np.ndarray] = {}
-    for v in ("x", "y", "t"):
-        try:
-            first[v] = differentiate(T, v, cfg.ic_derivatives)
-        except DerivativeOrderError as err:
-            return MseBreakdown.rejected(str(err))
-        g = eval_grid(first[v], data, consts)
-        if g.fault or _mean_abs(g.values) < cfg.threshold:
-            return MseBreakdown.rejected()
-        grids[v] = g.values
-    try:
-        d_xx = differentiate(first["x"], "x", cfg.ic_derivatives)
-        d_yy = differentiate(first["y"], "y", cfg.ic_derivatives)
-    except DerivativeOrderError:
-        interior = math.inf
-    else:
-        g_xx = eval_grid(d_xx, data, consts)
-        g_yy = eval_grid(d_yy, data, consts)
-        with np.errstate(all="ignore"):  # a non-finite residual makes the term inf
-            residual = (
-                grids["t"]
-                + case.ux_grid * grids["x"]
-                + case.uy_grid * grids["y"]
-                - case.kappa * (g_xx.values + g_yy.values)
-            )
-        interior = _mean_square(residual)
-    boundary = tuple(_boundary_term(T, case, bc, consts, first) for bc in case.bcs)
-    initial = initial_mse(T, case, consts)
-    total = interior
-    for term in boundary:
-        total += term
-    total += initial
-    return MseBreakdown(interior, boundary, initial, total, False)
+    return ScoringPlan(T, config).score(case, data, consts)

@@ -31,7 +31,15 @@ from .expr import (
     span_at,
     token_path_depths,
 )
-from .pde import TOKEN_MODES, MseBreakdown, ObjectiveConfig, PdeCase, case_alphabet, objective
+from .pde import (
+    TOKEN_MODES,
+    MseBreakdown,
+    ObjectiveConfig,
+    PdeCase,
+    ScoringPlan,
+    case_alphabet,
+    objective,
+)
 
 
 def _mix(seed: int, salt: int) -> int:
@@ -243,8 +251,10 @@ def fit_constants(
 ) -> tuple[float, ...]:
     """Fit the learnable-constant slots of ``e`` by a short PSO run.
 
-    Results are cached in the shared state under the expression key; the fit
-    seed is derived from the key so every thread computes the same vector.
+    Every particle is scored against one :class:`~padesr.pde.ScoringPlan`, so
+    ``e`` is differentiated once per fit.  Results are cached in the shared
+    state under the expression key; the fit seed is derived from the key so
+    every thread computes the same vector.
     """
     if e.n_slots == 0:
         return ()
@@ -253,9 +263,10 @@ def fit_constants(
     if cached is not None:
         return cached
     rng = random.Random(_mix(config.seed, _key_salt(key)))
+    plan = ScoringPlan(e, config.objective)
 
     def score(vector: Sequence[float]) -> float:
-        return objective(e, case, data, vector, config.objective).total
+        return plan.score(case, data, vector).total
 
     best, _ = pso_minimize(score, e.n_slots, rng)
     consts = tuple(best)

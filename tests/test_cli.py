@@ -197,6 +197,25 @@ def test_search_seed_expr_sa(tmp_path, capsys):
     assert float(fields["mse_total"]) <= seed_total
 
 
+@pytest.mark.parametrize("tokens, seed_expr", [
+    ("vars", "x 2 * C +"),  # a literal and a learnable constant outside the run's tokens
+    ("vars+const", "x C *"),
+    ("vars+const", "x 0.5 *"),  # free-mode spellings are no search token either
+    ("vars+const", "I_x t +"),
+])
+def test_search_seed_expr_outside_token_set_exit_2(tmp_path, capsys, tokens, seed_expr):
+    out_path = tmp_path / "r.txt"
+    code, out, err = run_cli(
+        capsys, "search", "--case", "case1", "--algo", "sa", "--depth", "2",
+        "--notation", "postfix", "--tokens", tokens, "--max-evals", "30",
+        "--threshold", "0", "--seed-expr", seed_expr, "--out", str(out_path),
+    )
+    assert code == 2
+    assert not out
+    assert "error: seed expression" in err
+    assert not out_path.exists()
+
+
 def test_fitted_constants_rescore_exactly(tmp_path, capsys):
     out_path = tmp_path / "r.txt"
     code, _, _ = run_cli(
@@ -318,6 +337,27 @@ def test_env_threads_default(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert parse_report(out_path.read_text())["threads"] == "2"
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_env_threads_invalid_exit_2(tmp_path, capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("PADESR_THREADS", value)
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "sweep.csv"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "PADESR_THREADS" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_threads_flag_overrides_invalid_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PADESR_THREADS", "abc")
+    out_path = tmp_path / "r.txt"
+    code, _, _ = run_cli(capsys, *SEARCH_ARGV, "--threads", "1", "--out", str(out_path))
+    assert code == 0
+    assert parse_report(out_path.read_text())["threads"] == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padesr.evaluate import eval_grid
 from padesr.expr import (
@@ -25,6 +26,7 @@ from padesr.pde import (
     BcKind,
     MseBreakdown,
     ObjectiveConfig,
+    ScoringPlan,
     build_case,
     case_alphabet,
     initial_mse,
@@ -432,3 +434,63 @@ def test_data_reading_reaches_every_component(case1, alpha1, rng):
             # the readings differ only on the initial-condition family
             assert bd == objective(e, case, data, config=analytic)
     assert with_ic > 0
+
+
+# ---------------------------------------------------------------------------
+# the scoring plan: many constant vectors against one derived-expression set
+
+# postfix, parsed in free mode and converted to each notation
+_PLAN_EDGE_CASES = (
+    "I_xx C *",  # the first derivative raises an order error: rejected with a note
+    "I_x C * t + y *",  # a second derivative raises one (analytic reading): interior inf
+    "x C - log t * y +",  # log faults where x <= C: the gate rejects on a fault
+    "x C / y * t +",  # C = 0 faults every gate grid; other vectors pass
+    "x y * t * C sqrt +",  # no derivative holds C, so their grids are kept; sqrt(C < 0) faults
+)
+_CONST_VALUES = st.one_of(st.floats(-20.0, 20.0), st.sampled_from((0.0, 1e300, -1e300)))
+_PLAN_CONFIGS = tuple(
+    ObjectiveConfig(threshold=threshold, ic_derivatives=reading)
+    for threshold in (ObjectiveConfig().threshold, 0.0)
+    for reading in ("analytic", "data")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=st.data())
+def test_plan_scores_every_vector_like_a_fresh_objective(case1, alpha1_opt, draws):
+    case, data = case1
+    notation = draws.draw(st.sampled_from((Notation.PREFIX, Notation.POSTFIX)))
+    edge = draws.draw(st.sampled_from((None,) + _PLAN_EDGE_CASES))
+    if edge is None:
+        seed = draws.draw(st.integers(0, 2**32 - 1))
+        depth = draws.draw(st.integers(0, 4))
+        e = sample_complete(random.Random(seed), notation, depth, alpha1_opt)
+    else:
+        e = convert_notation(parse(edge, Notation.POSTFIX, alpha1_opt, mode="free"), notation)
+    vectors = draws.draw(st.lists(
+        st.lists(_CONST_VALUES, min_size=e.n_slots, max_size=e.n_slots),
+        min_size=1, max_size=4))
+    cfg = draws.draw(st.sampled_from(_PLAN_CONFIGS))
+    plan = ScoringPlan(e, cfg)
+    for consts in vectors:
+        # MseBreakdown equality covers every component, the gate and the note
+        assert plan.score(case, data, consts) == objective(e, case, data, consts, cfg)
+
+
+@pytest.mark.parametrize("edge", _PLAN_EDGE_CASES)
+def test_plan_edge_cases_reach_their_outcome(case1, alpha1_opt, edge):
+    # the property's hand-written candidates really reach the branch they name
+    case, data = case1
+    e = parse(edge, Notation.POSTFIX, alpha1_opt, mode="free")
+    plan = ScoringPlan(e, NO_GATE)
+    outcomes = [plan.score(case, data, (c,)) for c in (0.0, 0.5, 3.0, -4.0)]
+    rejected = [bd.gate_rejected for bd in outcomes]
+    if edge.startswith("I_xx"):
+        assert all(bd.gate_rejected and bd.note for bd in outcomes)
+    elif edge.startswith("I_x"):
+        assert not any(rejected) and all(bd.interior == math.inf for bd in outcomes)
+    elif "sqrt" in edge:
+        assert not any(rejected)
+        assert outcomes[-1].total == math.inf and math.isfinite(outcomes[-2].total)
+    else:
+        assert any(rejected) and not all(rejected) and not any(bd.note for bd in outcomes)

@@ -11,6 +11,7 @@ import pytest
 from padesr.expr import (
     VAR_X, Notation, TokenKind, convert_notation, make_expr, parse, sample_complete)
 from padesr.pde import ObjectiveConfig, case_alphabet, objective
+from padesr.symdiff import differentiate
 from padesr.search import (
     ALGORITHMS,
     SearchConfig,
@@ -91,6 +92,25 @@ def test_fit_constants_cached_and_deterministic(case1, alpha1_opt):
 
     other = SharedState()
     assert fit_constants(e, case, data, other, cfg) == first
+
+
+def test_fit_constants_differentiates_once_per_fit(case1, alpha1_opt, monkeypatch):
+    # one plan serves all 120 particles: x, y, t for the gate, then d/dx of
+    # T_x and d/dy of T_y, once each
+    case, data = case1
+    calls = []
+
+    def counting(e, var, ic_derivatives="analytic"):
+        calls.append(var)
+        return differentiate(e, var, ic_derivatives)
+
+    monkeypatch.setattr("padesr.pde.differentiate", counting)
+    e = parse("C x * y * t +", Notation.POSTFIX, alpha1_opt)
+    cfg = quick_config("rs", objective=ObjectiveConfig(threshold=0.0))
+    consts = fit_constants(e, case, data, SharedState(), cfg)
+    assert calls == ["x", "y", "t", "x", "y"]
+    # the fitted vector scores as it did when each particle ran the objective
+    assert objective(e, case, data, consts, cfg.objective).total < math.inf
 
 
 def const_slots(e):
