@@ -122,11 +122,11 @@ def linspace_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _op_log(a):
-    return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), np.nan)
+    return np.where(a > 0, np.log(a), np.nan)
 
 
 def _op_div(a, b):
-    return np.where(b == 0, np.nan, np.divide(a, np.where(b == 0, 1.0, b)))
+    return np.where(b == 0, np.nan, np.divide(a, b))  # np.divide: 1.0 / 0.0 raises
 
 
 def _op_pow(a, b):

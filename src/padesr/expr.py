@@ -328,8 +328,9 @@ def _postfix_depths(partial: Sequence[Token], budget: int) -> list[int]:
                 raise ExprError("operand underflow")
             b = depths.pop()
             depths[-1] = max(depths[-1], b) + 1
-        if _min_completion_depth(depths) > budget:
-            raise ExprError("depth budget exceeded")
+    # appending a token never lowers the bound, so the final stack decides
+    if depths and _min_completion_depth(depths) > budget:
+        raise ExprError("depth budget exceeded")
     return depths
 
 
@@ -361,8 +362,7 @@ def legal_tokens(
     leaf_ok = _min_completion_depth(depths + [0]) <= budget
     unary_ok = bool(depths) and _min_completion_depth(
         depths[:-1] + [depths[-1] + 1]) <= budget
-    binary_ok = len(depths) >= 2 and _min_completion_depth(
-        depths[:-2] + [max(depths[-2], depths[-1]) + 1]) <= budget
+    binary_ok = len(depths) >= 2  # merging the top two leaves the bound as it is
     if leaf_ok:
         out.extend(alphabet.leaves)
     if unary_ok:

@@ -1,8 +1,11 @@
 """Six fixed-depth expression-search algorithms with multi-threaded execution.
 
-Every worker thread runs an independent instance of the configured algorithm
-with a derived seed; all workers share one :class:`SharedState` holding the
-best-so-far result and the fitted-constant cache.  The concurrent variant of
+Every worker runs an independent instance of the configured algorithm with a
+derived seed; all workers share one :class:`SharedState` holding the
+best-so-far result and the fitted-constant cache.  A worker's scoring call is
+the one place a run stops, so the algorithm loops never test for the end of
+the run: on a stop request, a passed deadline or a spent evaluation cap, the
+next candidate is not scored and the worker ends.  The concurrent variant of
 MCTS additionally shares its visit/score statistics and breaks ties among
 unvisited actions at random so threads fan out over different branches.
 """
@@ -177,10 +180,6 @@ class SharedState:
                 return True
             return False
 
-    def snapshot_best(self):
-        with self._lock:
-            return self.best, self.best_total, self.evaluations
-
     def cache_get(self, key: str):
         return self.const_cache.get(key)
 
@@ -308,12 +307,23 @@ def select_action(
 
 
 # ---------------------------------------------------------------------------
-# run context shared by the per-thread algorithm loops
+# one worker of a run
 
 
-class _RunContext:
+class _Stop(Exception):
+    """Ends the worker that raised it: the run is stopped, out of time or at its cap."""
+
+
+class _Worker:
+    """One worker of a run: the run's inputs, the shared state, its own random
+    stream, its deadline and its improvement log.
+
+    :meth:`score` is the one stop check; an algorithm loop runs until it
+    raises :class:`_Stop`.
+    """
+
     def __init__(self, config: SearchConfig, case: PdeCase, data: Dataset,
-                 alphabet: Alphabet, shared: SharedState, start: float):
+                 alphabet: Alphabet, shared: SharedState, start: float, index: int):
         self.config = config
         self.case = case
         self.data = data
@@ -321,47 +331,41 @@ class _RunContext:
         self.shared = shared
         self.start = start
         self.deadline = start + config.time_budget
-
-    def keep_going(self) -> bool:
-        return not self.shared.stop.is_set() and time.monotonic() < self.deadline
-
-
-class _CapSpent(Exception):
-    """The run's evaluation cap is spent; ends the worker that drew it."""
-
-
-class _Scorer:
-    """Worker-local scoring front end; logs this worker's own improvements.
-
-    :meth:`score` is the one place that enforces ``max_evals``: it raises
-    :class:`_CapSpent` in place of scoring past the cap.
-    """
-
-    def __init__(self, ctx: _RunContext):
-        self.ctx = ctx
-        self.own_best: Optional[float] = None
-        self.log: list[tuple[float, float]] = []
+        self.rng = random.Random(_mix(config.seed, index))
+        self.log: list[tuple[float, float]] = []  # (seconds, total) per own improvement
+        self.error: Optional[Exception] = None
 
     def score(self, e: Expr) -> MseBreakdown:
-        ctx = self.ctx
-        if not ctx.shared.claim(ctx.config.max_evals):
-            raise _CapSpent
+        """Claim one evaluation and score ``e``; raises :class:`_Stop` in place
+        of scoring once the run is stopped, the deadline has passed or
+        ``max_evals`` evaluations are claimed."""
+        cfg, shared = self.config, self.shared
+        if (shared.stop.is_set() or time.monotonic() >= self.deadline
+                or not shared.claim(cfg.max_evals)):
+            raise _Stop
         consts: tuple[float, ...] = ()
         if e.n_slots:
-            consts = fit_constants(e, ctx.case, ctx.data, ctx.shared, ctx.config)
-        breakdown = objective(e, ctx.case, ctx.data, consts, ctx.config.objective)
-        ctx.shared.offer(e.key, e, consts, breakdown)
-        if self.own_best is None or breakdown.total < self.own_best:
-            self.own_best = breakdown.total
-            self.log.append((time.monotonic() - ctx.start, breakdown.total))
-        target = ctx.config.stop_below
-        if target is not None and breakdown.total <= target:
-            ctx.shared.stop.set()
+            consts = fit_constants(e, self.case, self.data, shared, cfg)
+        breakdown = objective(e, self.case, self.data, consts, cfg.objective)
+        shared.offer(e.key, e, consts, breakdown)
+        if not self.log or breakdown.total < self.log[-1][1]:
+            self.log.append((time.monotonic() - self.start, breakdown.total))
+        if cfg.stop_below is not None and breakdown.total <= cfg.stop_below:
+            shared.stop.set()
         return breakdown
 
+    def random_expr(self) -> Expr:
+        return sample_complete(self.rng, self.config.notation, self.config.depth,
+                               self.alphabet)
 
-def _random_expr(rng: random.Random, ctx: _RunContext) -> Expr:
-    return sample_complete(rng, ctx.config.notation, ctx.config.depth, ctx.alphabet)
+    def run(self) -> None:
+        try:
+            _ALGORITHM_LOOPS[self.config.algorithm](self)
+        except _Stop:
+            pass
+        except Exception as err:  # ends the run; run_search re-raises it
+            self.error = err
+            self.shared.stop.set()
 
 
 def _mutate_span(rng: random.Random, e: Expr, budget: int, alphabet: Alphabet) -> Expr:
@@ -379,14 +383,13 @@ def _mutate_span(rng: random.Random, e: Expr, budget: int, alphabet: Alphabet) -
 # algorithms (one worker instance each)
 
 
-def _run_rs(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    while ctx.keep_going():
-        scorer.score(_random_expr(rng, ctx))
+def _run_rs(w: _Worker) -> None:
+    while True:
+        w.score(w.random_expr())
 
 
-def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    cfg = ctx.config
-    shared = ctx.shared
+def _run_mcts(w: _Worker) -> None:
+    cfg, shared, alphabet = w.config, w.shared, w.alphabet
     concurrent = cfg.algorithm == "cmcts"
     if concurrent:
         stats = (shared.visits, shared.action_visits, shared.action_value)
@@ -397,19 +400,20 @@ def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer) -> None:
     c = UCT_C
     stall = 0
     last_best = math.inf
-    while ctx.keep_going():
+    while True:
         partial: list[Token] = []
         state_key = ""
         path: list[tuple[str, str]] = []
-        while legal := legal_tokens(partial, cfg.notation, cfg.depth, ctx.alphabet):
-            tok, expand = select_action(state_key, legal, *stats, c, rng if concurrent else None)
+        while legal := legal_tokens(partial, cfg.notation, cfg.depth, alphabet):
+            tok, expand = select_action(state_key, legal, *stats, c,
+                                        w.rng if concurrent else None)
             path.append((state_key, tok.text))
             partial.append(tok)
             if expand:
                 break
             state_key = tok.text if not state_key else f"{state_key} {tok.text}"
-        expr = sample_complete(rng, cfg.notation, cfg.depth, ctx.alphabet, partial)
-        breakdown = scorer.score(expr)
+        expr = sample_complete(w.rng, cfg.notation, cfg.depth, alphabet, partial)
+        breakdown = w.score(expr)
         reward = 1.0 / (1.0 + breakdown.total)
         for skey, atext in path:
             visits[skey] = visits.get(skey, 0) + 1
@@ -427,26 +431,26 @@ def _run_mcts(rng, ctx: _RunContext, scorer: _Scorer) -> None:
                 stall = 0
 
 
-def _decode_particle(vector: Sequence[float], ctx: _RunContext) -> Expr:
-    cfg = ctx.config
+def _decode_particle(vector: Sequence[float], w: _Worker) -> Expr:
+    cfg = w.config
     dim = len(vector)
     toks: list[Token] = []
     j = 0
     while True:
-        legal = legal_tokens(toks, cfg.notation, cfg.depth, ctx.alphabet)
+        legal = legal_tokens(toks, cfg.notation, cfg.depth, w.alphabet)
         if not legal:
             return make_expr(toks, cfg.notation, cfg.depth)
         toks.append(legal[int(abs(vector[j % dim])) % len(legal)])
         j += 1
 
 
-def _run_pso(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    swarm = Swarm(min(2 ** (ctx.config.depth + 1) - 1, PSO_DIM_CAP), PSO_SWARM, rng)
+def _run_pso(w: _Worker) -> None:
+    swarm = Swarm(min(2 ** (w.config.depth + 1) - 1, PSO_DIM_CAP), PSO_SWARM, w.rng)
 
     def score(vector: Sequence[float]) -> float:
-        return scorer.score(_decode_particle(vector, ctx)).total
+        return w.score(_decode_particle(vector, w)).total
 
-    while ctx.keep_going():
+    while True:
         swarm.step(score)
 
 
@@ -476,50 +480,43 @@ def _crossover(rng: random.Random, a: Expr, b: Expr, budget: int) -> tuple[Expr,
     return child_a, child_b
 
 
-def _run_gp(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    budget = ctx.config.depth
-
-    population: list[tuple[float, int, Expr]] = []
-    counter = 0
+def _run_gp(w: _Worker) -> None:
+    rng, budget = w.rng, w.config.depth
+    population: list[tuple[float, Expr]] = []
     for _ in range(GP_POPULATION):
-        if not ctx.keep_going():
-            return
-        e = _random_expr(rng, ctx)
-        population.append((scorer.score(e).total, counter, e))
-        counter += 1
-    while ctx.keep_going():
+        e = w.random_expr()
+        population.append((w.score(e).total, e))
+    while True:
         children: list[Expr] = []
-        while len(children) < GP_CHILDREN and ctx.keep_going():
+        while len(children) < GP_CHILDREN:
             if rng.random() < GP_CROSSOVER_PROB:
-                _, _, pa = population[rng.randrange(len(population))]
-                _, _, pb = population[rng.randrange(len(population))]
+                _, pa = population[rng.randrange(len(population))]
+                _, pb = population[rng.randrange(len(population))]
                 children.extend(_crossover(rng, pa, pb, budget))
             else:
-                _, _, parent = population[rng.randrange(len(population))]
-                children.append(_mutate_span(rng, parent, budget, ctx.alphabet))
+                _, parent = population[rng.randrange(len(population))]
+                children.append(_mutate_span(rng, parent, budget, w.alphabet))
         for child in children:
-            if not ctx.keep_going():
-                return
-            population.append((scorer.score(child).total, counter, child))
-            counter += 1
-        population.sort(key=lambda item: (item[0], item[1]))
+            population.append((w.score(child).total, child))
+        # stable, so equal totals keep the order they were scored in
+        population.sort(key=lambda item: item[0])
         del population[GP_POPULATION:]
 
 
-def _run_sa(rng, ctx: _RunContext, scorer: _Scorer) -> None:
-    cfg = ctx.config
+def _run_sa(w: _Worker) -> None:
+    cfg, rng = w.config, w.rng
     if cfg.seed_expr is not None:
         budget = max(cfg.depth, cfg.seed_expr.depth)
         current = cfg.seed_expr
     else:
         budget = cfg.depth
-        current = _random_expr(rng, ctx)
-    current_f = scorer.score(current).total
+        current = w.random_expr()
+    current_f = w.score(current).total
     temp = SA_TEMP_INITIAL
     stall = 0
-    while ctx.keep_going():
-        neighbor = _mutate_span(rng, current, budget, ctx.alphabet)
-        f = scorer.score(neighbor).total
+    while True:
+        neighbor = _mutate_span(rng, current, budget, w.alphabet)
+        f = w.score(neighbor).total
         delta = f - current_f
         if math.isnan(delta):
             accept = False
@@ -552,55 +549,38 @@ _ALGORITHM_LOOPS = {
 ALGORITHMS = tuple(_ALGORITHM_LOOPS)
 
 
-def _worker(ctx: _RunContext, index: int, logs: list, errors: list) -> None:
-    rng = random.Random(_mix(ctx.config.seed, index))
-    scorer = _Scorer(ctx)
-    try:
-        _ALGORITHM_LOOPS[ctx.config.algorithm](rng, ctx, scorer)
-    except _CapSpent:
-        pass
-    except Exception as err:  # ends the run; run_search re-raises it
-        errors.append(err)
-        ctx.shared.stop.set()
-    logs[index] = scorer.log
-
-
 def run_search(config: SearchConfig, case: PdeCase, data: Dataset) -> SearchResult:
     """Run the configured search; returns the best expression found in budget.
     An exception in any worker stops the others and is raised here."""
     alphabet = case_alphabet(case, config.token_mode)
     shared = SharedState()
     start = time.monotonic()
-    ctx = _RunContext(config, case, data, alphabet, shared, start)
-    logs: list = [[] for _ in range(config.threads)]
-    errors: list[Exception] = []
+    workers = [_Worker(config, case, data, alphabet, shared, start, i)
+               for i in range(config.threads)]
     if config.threads == 1:
-        _worker(ctx, 0, logs, errors)
+        workers[0].run()
     else:
-        threads = [
-            threading.Thread(target=_worker, args=(ctx, i, logs, errors), daemon=True)
-            for i in range(config.threads)
-        ]
+        threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
-    if errors:
-        raise errors[0]
+    for w in workers:
+        if w.error is not None:
+            raise w.error
     elapsed = time.monotonic() - start
-    best, _, evaluations = shared.snapshot_best()
-    improvements = tuple(sorted(entry for log in logs for entry in log))
-    if best is None:
-        return SearchResult(None, None, None, (), elapsed, evaluations, config,
+    improvements = tuple(sorted(entry for w in workers for entry in w.log))
+    if shared.best is None:
+        return SearchResult(None, None, None, (), elapsed, shared.evaluations, config,
                             improvements)
-    _, expr, consts, breakdown = best
+    _, expr, consts, breakdown = shared.best
     return SearchResult(
         expr=expr,
         simplified=simplify(expr),
         breakdown=breakdown,
         consts=consts,
         elapsed=elapsed,
-        evaluations=evaluations,
+        evaluations=shared.evaluations,
         config=config,
         improvements=improvements,
     )

@@ -134,13 +134,7 @@ def _d_leaf(tok: Token, var: str) -> Chunk:
     kind = tok.kind
     if kind is TokenKind.VARIABLE:
         return [ONE] if tok.text == var else [ZERO]
-    if kind is TokenKind.IC:
-        if var == "x":
-            return [IC_X]
-        if var == "y":
-            return [IC_Y]
-        return [ZERO]
-    if kind is TokenKind.IC_DERIV:
+    if kind is TokenKind.IC or kind is TokenKind.IC_DERIV:  # I is order (0, 0)
         if var == "t":
             return [ZERO]
         table = _IC_STEP_X if var == "x" else _IC_STEP_Y
@@ -286,17 +280,12 @@ def _simp_pass(tokens: Sequence[Token], notation: Notation, em: _Emit) -> Chunk:
 
 
 def simplify(e: Expr) -> Expr:
-    """Apply the identity rules plus constant folding to a fixed point.
+    """Apply the identity rules plus constant folding in one bottom-up pass.
 
-    The result evaluates identically to ``e`` at every point where ``e`` is
-    fault-free; folding never replaces a subexpression with a non-finite
-    value.
+    One pass is a fixed point: each rule sees operands that are simplified
+    already and returns one of them, a literal, or the node it has just
+    checked.  The result evaluates identically to ``e`` at every point where
+    ``e`` is fault-free; folding never replaces a subexpression with a
+    non-finite value.
     """
-    em = _Emit(e.notation)
-    tokens: Sequence[Token] = e.tokens
-    for _ in range(32):
-        out = _simp_pass(tokens, e.notation, em)
-        if len(out) == len(tokens) and all(a is b or a == b for a, b in zip(out, tokens)):
-            break
-        tokens = out
-    return Expr(e.notation, tuple(tokens))
+    return Expr(e.notation, tuple(_simp_pass(e.tokens, e.notation, _Emit(e.notation))))

@@ -27,8 +27,8 @@ def load_bench(monkeypatch):
     return run, spans
 
 
-def traced_search(monkeypatch, case1, token_mode, max_evals):
-    """Summary of a 1-worker ``rs`` search run under the benchmark's hooks."""
+def traced_search(monkeypatch, case1, token_mode, max_evals, threads):
+    """Summary of an ``rs`` search run under the benchmark's hooks."""
     run, spans = load_bench(monkeypatch)
     case, data = case1
     wrapped = {
@@ -43,7 +43,7 @@ def traced_search(monkeypatch, case1, token_mode, max_evals):
     traffic = run.Traffic(padesr, tracer)
     try:
         config = SearchConfig(algorithm="rs", depth=3, notation=Notation.POSTFIX,
-                              token_mode=token_mode, threads=1, time_budget=60.0,
+                              token_mode=token_mode, threads=threads, time_budget=60.0,
                               seed=1, max_evals=max_evals)
         result = padesr.search.run_search(config, case, data)
     finally:
@@ -57,16 +57,18 @@ def traced_search(monkeypatch, case1, token_mode, max_evals):
 
 
 def test_traffic_spans_every_scoring_layer(monkeypatch, case1):
-    summary = traced_search(monkeypatch, case1, "vars+const", 5)
-    for name in ("pde.objective", "symdiff.differentiate", "evaluate.eval_grid",
-                 "search.offer"):
-        assert summary.calls(name) > 0, name
+    for threads in (1, 2):  # 2 workers score on their own threads
+        summary = traced_search(monkeypatch, case1, "vars+const", 5, threads)
+        for name in ("pde.objective", "symdiff.differentiate", "evaluate.eval_grid",
+                     "search.offer"):
+            assert summary.calls(name) > 0, (name, threads)
 
 
 def test_traffic_spans_constant_fitting(monkeypatch, case1):
-    summary = traced_search(monkeypatch, case1, "vars+const+opt", 20)
-    for name in ("search.fit_constants", "search.cache_get", "symdiff.differentiate"):
-        assert summary.calls(name) > 0, name
+    for threads in (1, 2):
+        summary = traced_search(monkeypatch, case1, "vars+const+opt", 20, threads)
+        for name in ("search.fit_constants", "search.cache_get", "symdiff.differentiate"):
+            assert summary.calls(name) > 0, (name, threads)
 
 
 def test_gate_rejections_attributed_in_order(monkeypatch, case1, alpha1):

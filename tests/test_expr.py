@@ -67,7 +67,7 @@ def expand_all(alphabet, notation, budget):
     return complete
 
 
-@pytest.mark.parametrize("budget", [0, 1, 2])
+@pytest.mark.parametrize("budget", [0, 1, 2, 3])
 def test_enumeration_matches_recursive_oracle(tiny_alphabet, budget):
     trees = enumerate_trees(tiny_alphabet, budget)
     expected_prefix = {pre for pre, _ in trees}
@@ -121,21 +121,15 @@ def test_postfix_two_leaves_budget_one_binaries_only(alpha1):
     assert all(t.arity == 2 for t in legal)
 
 
-def test_legal_tokens_no_dead_ends(alpha1, rng):
-    # every admitted token leads to a state that is complete or extendable
-    for notation in NOTATIONS:
-        for _ in range(200):
-            budget = rng.randint(0, 4)
-            partial = []
-            while True:
-                legal = legal_tokens(partial, notation, budget, alpha1)
-                if not legal:
-                    assert is_complete(partial, notation)
-                    break
-                tok = legal[rng.randrange(len(legal))]
-                partial.append(tok)
-                nxt = legal_tokens(partial, notation, budget, alpha1)
-                assert nxt or is_complete(partial, notation)
+@given(st.integers(0, 8), st.sampled_from(NOTATIONS), st.randoms(use_true_random=False))
+def test_legal_tokens_no_dead_ends(alpha1, budget, notation, rng):
+    # every admitted token leads to a state that is complete or extendable,
+    # and the sequence the grammar ends is a valid expression within budget
+    partial = []
+    while legal := legal_tokens(partial, notation, budget, alpha1):
+        partial.append(legal[rng.randrange(len(legal))])
+        assert legal_tokens(partial, notation, budget, alpha1) or is_complete(partial, notation)
+    assert make_expr(partial, notation, budget).depth <= budget
 
 
 def test_legal_tokens_malformed_partial_raises(alpha1):

@@ -334,11 +334,21 @@ def test_worker_exception_is_raised(case1, monkeypatch, threads):
 
 
 def test_stop_below_short_circuits(case1):
+    # with 2 workers, the one that did not reach the target stops as well
     case, data = case1
-    cfg = quick_config("rs", depth=1, max_evals=100_000, stop_below=1e12,
-                       objective=ObjectiveConfig(threshold=0.0))
-    result = run_search(cfg, case, data)
-    assert result.evaluations < 100
+    for threads in (1, 2):
+        cfg = quick_config("rs", depth=1, max_evals=100_000, stop_below=1e12, threads=threads,
+                           objective=ObjectiveConfig(threshold=0.0))
+        result = run_search(cfg, case, data)
+        assert result.evaluations < 100, threads
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_passed_deadline_scores_nothing(case1, algo):
+    # the deadline is checked before every candidate, SA's first one included
+    case, data = case1
+    result = run_search(quick_config(algo, time_budget=1e-9, max_evals=None), case, data)
+    assert result.empty and result.evaluations == 0
 
 
 def test_invalid_configs_rejected():

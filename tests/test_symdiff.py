@@ -218,6 +218,21 @@ def test_simplify_preserves_values(case1, alpha1, rng):
         assert np.allclose(a[ok], b[ok], rtol=0, atol=1e-10), (e.text, s.text)
 
 
+def test_simplify_is_one_pass_fixed_point(alpha1_opt):
+    rng = random.Random(8)
+    for i in range(1500):
+        e = sample_complete(rng, NOTATIONS[i % 2], rng.randint(0, 6), alpha1_opt)
+        corpus = [e]
+        for var in "xyt":
+            try:
+                corpus.append(differentiate(e, var))
+            except DerivativeOrderError:
+                pass
+        for c in corpus:
+            once = simplify(c)
+            assert simplify(once).tokens == once.tokens, c.text
+
+
 def test_simplify_derivative_chains(case1, alpha1):
     _, data = case1
     e = parse("x 2 ^", Notation.POSTFIX, alpha1)
