@@ -174,15 +174,26 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 # evaluation
 
 
-def eval_grid(e: Expr, data: Dataset, consts: Optional[Sequence[float]] = None) -> Grid:
-    """Evaluate over every mesh point of ``data`` in one stack scan."""
+def eval_grid(e: Expr, data: Dataset,
+              consts: Optional[Sequence[float] | np.ndarray] = None) -> Grid:
+    """Evaluate over every mesh point of ``data`` in one stack scan.
+
+    ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
+    vectors.  With a matrix a ``C`` reads its column, so an expression with
+    a ``C`` gives an ``(m, n)`` grid and one fault flag per row; one without
+    gives the usual ``n`` values.
+    """
+    batched = np.ndim(consts) == 2
+
     def leaf(tok: Token):
         kind = tok.kind
         if kind is TokenKind.LITERAL:
             return tok.value
         if kind is TokenKind.CONST:
-            if consts is None or tok.slot >= len(consts):
+            if consts is None or tok.slot >= np.shape(consts)[-1]:
                 raise EvalError(f"missing value for constant slot {tok.slot}")
+            if batched:
+                return consts[:, tok.slot:tok.slot + 1]
             return float(consts[tok.slot])
         try:
             return data.leaf[tok.text]
@@ -193,6 +204,9 @@ def eval_grid(e: Expr, data: Dataset, consts: Optional[Sequence[float]] = None) 
         values = fold(e.tokens, e.notation, leaf,
                       lambda tok, a: UNARY_FUNCS[tok.text](a),
                       lambda tok, a, b: BINARY_FUNCS[tok.text](a, b))
+    if batched and e.n_slots:
+        values = np.broadcast_to(values, (len(consts), data.n))  # ``C C -`` is a column
+        return Grid(values, ~np.isfinite(values).all(axis=-1))
     if np.ndim(values) == 0:
         values = np.full(data.n, float(values))
     return Grid(values, not bool(np.isfinite(values).all()))

@@ -14,7 +14,10 @@ every component and the gate decision.  It builds a :class:`ScoringPlan`, which
 holds what scoring one expression needs that no constant vector changes: the
 derivatives, taken as the gate reaches them, and the grids of derivatives
 without a learnable constant.  Fitting constants scores every candidate vector
-against one plan, so an expression is differentiated once per fit.
+against one plan, so an expression is differentiated once per fit, and
+:meth:`ScoringPlan.totals` scores a batch of vectors in one scan per grid: a
+``C`` reads a column of the batch, each term is reduced per row, and every
+row's total has the bits :meth:`ScoringPlan.score` gives that vector.
 """
 
 from __future__ import annotations
@@ -194,21 +197,27 @@ class MseBreakdown:
         return cls(math.inf, (), math.inf, math.inf, True, note)
 
 
-def _mean(values: np.ndarray) -> float:
-    return np.add.reduce(values) / values.size  # np.mean's sum and division
+def _mean(values: np.ndarray):
+    """Mean over the last axis: one value per row of a batch."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]  # np.mean's sum and division
 
 
-def _mean_square(values: np.ndarray) -> float:
-    if not np.isfinite(values).all():
-        return math.inf
-    return float(_mean(np.square(values)))
+def _mean_square(values: np.ndarray):
+    """Mean square per row; infinite for a row holding a non-finite value."""
+    return np.where(np.isfinite(values).all(axis=-1), _mean(np.square(values)), math.inf)
 
 
 def initial_mse(T: Expr, case: PdeCase, consts: Optional[Sequence[float]] = None) -> float:
     """Mean of (T - I)^2 over the (x, y) plane at t = t_lo."""
     g = eval_grid(T, case.ic_plane, consts)
     with np.errstate(all="ignore"):
-        return _mean_square(g.values - case.ic_plane.leaf["I"])
+        return float(_mean_square(g.values - case.ic_plane.leaf["I"]))
+
+
+# A batch of constant vectors is scored max(1, BATCH_ELEMENTS // data.n) rows
+# at a time on an n-point mesh.  This bounds every array of a batch, the ones
+# a fold of a long derivative keeps alive in each worker thread included.
+BATCH_ELEMENTS = 8192
 
 
 class ScoringPlan:
@@ -216,12 +225,14 @@ class ScoringPlan:
 
     Derived expressions are named by the variables they differentiate by:
     ``""`` is ``T``, ``"x"`` is dT/dx, ``"xx"`` is d2T/dx2.  Each is taken
-    when :meth:`score` first reaches it, the first derivatives as the gate
-    reaches x, y and t; a :class:`DerivativeOrderError` is recorded once and
-    raised again on every later request.  The grid of a derived expression
-    without a ``C`` token is kept, one per dataset, so scoring many constant
-    vectors evaluates it once.  A plan caches without a lock: build one per
-    worker and expression.
+    when scoring first reaches it, the first derivatives as the gate reaches
+    x, y and t; a :class:`DerivativeOrderError` is recorded once and raised
+    again on every later request.  The grid of a derived expression without a
+    ``C`` token is kept, one per dataset, so scoring many constant vectors
+    evaluates it once.  :meth:`score` scores one vector; :meth:`totals`
+    scores a batch of them, a row per vector, with the same operations on
+    each row.  A plan caches without a lock: build one per worker and
+    expression.
     """
 
     def __init__(self, T: Expr, config: Optional[ObjectiveConfig] = None):
@@ -252,7 +263,53 @@ class ScoringPlan:
             kept = self._grids[key] = (data, eval_grid(e, data, consts))
         return kept[1]
 
-    def _boundary_term(self, case: PdeCase, bc: BoundaryCondition, consts) -> float:
+    def _gate_miss(self, g: Grid):
+        """Whether the gate rejects ``g``, per row of a batch."""
+        return g.fault | (_mean(np.abs(g.values)) < self.config.threshold)
+
+    def rejects_every_vector(self, data: Dataset) -> bool:
+        """Whether the gate rejects ``T`` whatever its constants are.
+
+        True when, before the gate reaches a derivative holding a ``C``, it
+        meets an order error or rejects a derivative grid without one.
+        Takes only the derivatives scoring any vector would take.
+        """
+        for v in ("x", "y", "t"):
+            try:
+                e = self._derivative(v)
+            except DerivativeOrderError:
+                return True
+            if e.n_slots:
+                return False
+            with np.errstate(all="ignore"):
+                if self._gate_miss(self._grid(v, data, None)):
+                    return True
+        return False
+
+    def _components(self, case: PdeCase, data: Dataset, grids: Mapping[str, np.ndarray],
+                    consts) -> tuple:
+        """Interior, boundary terms and initial term past the gate, per row."""
+        try:
+            self._derivative("xx")
+            self._derivative("yy")
+        except DerivativeOrderError:
+            interior = math.inf
+        else:
+            laplacian = (self._grid("xx", data, consts).values
+                         + self._grid("yy", data, consts).values)
+            residual = (
+                grids["t"]
+                + case.ux_grid * grids["x"]
+                + case.uy_grid * grids["y"]
+                - case.kappa * laplacian
+            )
+            interior = _mean_square(residual)
+        boundary = tuple(self._boundary_term(case, bc, consts) for bc in case.bcs)
+        g = self._grid("", case.ic_plane, consts)
+        initial = _mean_square(g.values - case.ic_plane.leaf["I"])
+        return interior, boundary, initial
+
+    def _boundary_term(self, case: PdeCase, bc: BoundaryCondition, consts):
         if bc.kind is BcKind.DERIV_ZERO:
             g = self._grid(bc.axis, case.planes[(bc.axis, bc.location)], consts)
             return _mean_square(g.values)
@@ -278,32 +335,61 @@ class ScoringPlan:
                     g = self._grid(v, data, consts)
                 except DerivativeOrderError as err:
                     return MseBreakdown.rejected(str(err))
-                if g.fault or _mean(np.abs(g.values)) < self.config.threshold:
+                if self._gate_miss(g):
                     return MseBreakdown.rejected()
                 grids[v] = g.values
+            interior, boundary, initial = self._components(case, data, grids, consts)
+        interior, initial = float(interior), float(initial)
+        boundary = tuple(float(term) for term in boundary)
+        return MseBreakdown(interior, boundary, initial, _sum(interior, boundary, initial),
+                            False)
+
+    def totals(self, case: PdeCase, data: Dataset, vectors) -> np.ndarray:
+        """``score(case, data, v).total`` for every row ``v`` of the ``(m, k)``
+        matrix ``vectors``, bit for bit.
+
+        Rows are scored ``max(1, BATCH_ELEMENTS // data.n)`` at a time, so no
+        array of a batch outgrows ``BATCH_ELEMENTS`` on the mesh or a plane.
+        """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        out = np.full(len(vectors), math.inf)
+        step = max(1, BATCH_ELEMENTS // data.n)
+        with np.errstate(all="ignore"):
+            for start in range(0, len(vectors), step):
+                self._fill_totals(case, data, vectors[start:start + step],
+                                  out[start:start + step])
+        return out
+
+    def _fill_totals(self, case: PdeCase, data: Dataset, vectors: np.ndarray,
+                     out: np.ndarray) -> None:
+        """Write into ``out`` the total of each row the gate passes.
+
+        Each gate variable drops the rows it rejects, as :meth:`score` stops
+        there, so later scans evaluate only the rows still in play.
+        """
+        rows = np.arange(len(vectors))
+        grids: dict[str, np.ndarray] = {}
+        for v in ("x", "y", "t"):
             try:
-                self._derivative("xx")
-                self._derivative("yy")
+                g = self._grid(v, data, vectors)
             except DerivativeOrderError:
-                interior = math.inf
-            else:
-                laplacian = (self._grid("xx", data, consts).values
-                             + self._grid("yy", data, consts).values)
-                residual = (
-                    grids["t"]
-                    + case.ux_grid * grids["x"]
-                    + case.uy_grid * grids["y"]
-                    - case.kappa * laplacian
-                )
-                interior = _mean_square(residual)
-            boundary = tuple(self._boundary_term(case, bc, consts) for bc in case.bcs)
-            g = self._grid("", case.ic_plane, consts)
-            initial = _mean_square(g.values - case.ic_plane.leaf["I"])
-        total = interior
-        for term in boundary:
-            total += term
-        total += initial
-        return MseBreakdown(interior, boundary, initial, total, False)
+                return
+            keep = ~self._gate_miss(g)
+            if not keep.any():
+                return
+            grids[v] = g.values
+            if keep.ndim and not keep.all():
+                vectors, rows = vectors[keep], rows[keep]
+                grids = {u: a[keep] if a.ndim == 2 else a for u, a in grids.items()}
+        out[rows] = _sum(*self._components(case, data, grids, vectors))
+
+
+def _sum(interior, boundary, initial):
+    """The total, left to right: interior, each boundary term, initial."""
+    total = interior
+    for term in boundary:
+        total = total + term
+    return total + initial
 
 
 def objective(

@@ -2,12 +2,15 @@
 
 Every worker runs an independent instance of the configured algorithm with a
 derived seed; all workers share one :class:`SharedState` holding the
-best-so-far result and the fitted-constant cache.  A worker's scoring call is
-the one place a run stops, so the algorithm loops never test for the end of
-the run: on a stop request, a passed deadline or a spent evaluation cap, the
-next candidate is not scored and the worker ends.  The concurrent variant of
-MCTS additionally shares its visit/score statistics and breaks ties among
-unvisited actions at random so threads fan out over different branches.
+best-so-far result and the fitted-constant cache.  A constant fit scores the
+rest of a swarm pass in one batched call and moves again only the particles
+after one that improves the global best, so it ends where scoring one particle
+at a time ends.  A worker's scoring call is the one place a run stops, so the
+algorithm loops never test for the end of the run: on a stop request, a passed
+deadline or a spent evaluation cap, the next candidate is not scored and the
+worker ends.  The concurrent variant of MCTS additionally shares its
+visit/score statistics and breaks ties among unvisited actions at random so
+threads fan out over different branches.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ class Swarm:
 
     Positions are drawn at construction.  Each :meth:`step` scores one
     particle in turn: during the first pass where it was drawn, afterwards
-    after one velocity update.
+    after one velocity update.  :meth:`sweep` runs a whole pass and gives
+    the same swarm as that many steps, scoring many particles per call.
     """
 
     def __init__(self, dim: int, size: int, rng: random.Random):
@@ -206,38 +210,77 @@ class Swarm:
         self.gbest, self.gbest_f = list(self.pos[0]), math.inf
         self.steps = 0
 
-    def step(self, fn: Callable[[Sequence[float]], float]) -> None:
-        i = self.steps % len(self.pos)
-        p = self.pos[i]
-        if self.steps >= len(self.pos):
-            v, pb, g, rng = self.vel[i], self.pbest[i], self.gbest, self.rng
-            for j in range(len(p)):
-                r1, r2 = rng.random(), rng.random()
-                v[j] = (
-                    PSO_INERTIA * v[j]
-                    + PSO_COGNITIVE * r1 * (pb[j] - p[j])
-                    + PSO_SOCIAL * r2 * (g[j] - p[j])
-                )
-                p[j] += v[j]
+    def _draws(self) -> list[tuple[float, float]]:
+        """One particle's random factors, (r1, r2) per component."""
+        rng = self.rng
+        return [(rng.random(), rng.random()) for _ in self.gbest]
+
+    def _moved(self, i: int, draws) -> tuple[list[float], list[float]]:
+        """Particle ``i``'s next (position, velocity) under the current gbest."""
+        p, v, pb, g = self.pos[i], self.vel[i], self.pbest[i], self.gbest
+        vel = [
+            PSO_INERTIA * v[j]
+            + PSO_COGNITIVE * r1 * (pb[j] - p[j])
+            + PSO_SOCIAL * r2 * (g[j] - p[j])
+            for j, (r1, r2) in enumerate(draws)
+        ]
+        return [p[j] + vel[j] for j in range(len(p))], vel
+
+    def _commit(self, i: int, f: float) -> bool:
+        """Record particle ``i``'s score; True when it improved gbest."""
         self.steps += 1
-        f = fn(p)
         if f < self.pbest_f[i]:
-            self.pbest[i] = list(p)
+            self.pbest[i] = list(self.pos[i])
             self.pbest_f[i] = f
             if f < self.gbest_f:
-                self.gbest, self.gbest_f = list(p), f
+                self.gbest, self.gbest_f = list(self.pos[i]), f
+                return True
+        return False
+
+    def step(self, fn: Callable[[Sequence[float]], float]) -> None:
+        i = self.steps % len(self.pos)
+        if self.steps >= len(self.pos):
+            self.pos[i], self.vel[i] = self._moved(i, self._draws())
+        self._commit(i, fn(self.pos[i]))
+
+    def sweep(self, fn: Callable[[list[list[float]]], Sequence[float]]) -> None:
+        """One pass over every particle, from the first.
+
+        A pass's random draws do not depend on any score, and a particle's
+        move reads only its own state and gbest.  So the rest of a pass is
+        moved and scored in one call, and the scores are recorded in
+        particle order up to the first that improves gbest, whose later
+        particles are moved and scored again against the new gbest.
+        """
+        size = len(self.pos)
+        moving = self.steps >= size
+        draws = [self._draws() for _ in range(size)] if moving else None
+        i = 0
+        while i < size:
+            if moving:
+                moved = [self._moved(j, draws[j]) for j in range(i, size)]
+            else:
+                moved = list(zip(self.pos[i:], self.vel[i:]))
+            scores = fn([p for p, _ in moved])
+            for j, (p, v), f in zip(range(i, size), moved, scores):
+                self.pos[j], self.vel[j] = p, v
+                i = j + 1
+                if self._commit(j, f) and moving:
+                    break
 
 
 def pso_minimize(
-    fn: Callable[[Sequence[float]], float],
+    fn: Callable[[list[list[float]]], Sequence[float]],
     dim: int,
     rng: random.Random,
 ) -> tuple[list[float], float]:
     """Particle-swarm minimization of a black-box function: one scoring pass
-    over the drawn swarm, then ``CONST_FIT_ITERATIONS`` passes of updates."""
+    over the drawn swarm, then ``CONST_FIT_ITERATIONS`` passes of updates.
+    ``fn`` scores a list of vectors at once; the swarm is the one that
+    scoring each particle in turn gives."""
     s = Swarm(dim, CONST_FIT_SWARM, rng)
-    for _ in range(CONST_FIT_SWARM * (CONST_FIT_ITERATIONS + 1)):
-        s.step(fn)
+    for _ in range(CONST_FIT_ITERATIONS + 1):
+        s.sweep(fn)
     return s.gbest, s.gbest_f
 
 
@@ -250,10 +293,13 @@ def fit_constants(
 ) -> tuple[float, ...]:
     """Fit the learnable-constant slots of ``e`` by a short PSO run.
 
-    Every particle is scored against one :class:`~padesr.pde.ScoringPlan`, so
-    ``e`` is differentiated once per fit.  Results are cached in the shared
-    state under the expression key; the fit seed is derived from the key so
-    every thread computes the same vector.
+    Each swarm call scores its particles in one
+    :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, so ``e``
+    is differentiated once per fit.  When the gate rejects ``e`` whatever its
+    constants are, no particle can score finite and the fit returns the
+    first drawn position, as the full run would.  Results are cached in the
+    shared state under the expression key; the fit seed is derived from the
+    key so every thread computes the same vector.
     """
     if e.n_slots == 0:
         return ()
@@ -263,11 +309,11 @@ def fit_constants(
         return cached
     rng = random.Random(_mix(config.seed, _key_salt(key)))
     plan = ScoringPlan(e, config.objective)
-
-    def score(vector: Sequence[float]) -> float:
-        return plan.score(case, data, vector).total
-
-    best, _ = pso_minimize(score, e.n_slots, rng)
+    if plan.rejects_every_vector(data):
+        best = Swarm(e.n_slots, CONST_FIT_SWARM, rng).gbest
+    else:
+        best, _ = pso_minimize(lambda vectors: plan.totals(case, data, vectors).tolist(),
+                               e.n_slots, rng)
     consts = tuple(best)
     shared.cache_put(key, consts)
     return consts

@@ -91,6 +91,47 @@ def test_missing_constant_raises(alpha1_opt, case1):
     assert not g.fault
 
 
+def bits(values):
+    """The bytes of ``values`` with every NaN made one NaN: the sign of a NaN
+    can differ between kernels, and no result reads it."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def test_constant_matrix_rows_equal_one_vector_calls(case1, alpha1_opt, rng):
+    # a C reads its column of an (m, k) matrix; row r of the (m, n) grid is
+    # the 1-D evaluation with vector r, bit for bit, fault flag included
+    case, data = case1
+    values = (0.0, 1.0, -1.0, 0.5, 1e300, -3.25)
+    texts = ("C C -", "C exp", "x C /", "C sqrt t * x log +", "x y +")
+    exprs = [parse(text, Notation.POSTFIX, alpha1_opt, mode="free") for text in texts]
+    while len(exprs) < 80:
+        exprs.append(sample_complete(rng, NOTATIONS[len(exprs) % 2], 4, alpha1_opt))
+    for e in exprs:
+        k = max(e.n_slots, 1)
+        matrix = np.array([[rng.choice(values) if rng.random() < 0.3 else rng.uniform(-9, 9)
+                            for _ in range(k)] for _ in range(7)])
+        for grid_data in (data, case.planes[("x", "lo")]):
+            batch = eval_grid(e, grid_data, matrix)
+            if not e.n_slots:
+                assert batch.values.shape == (grid_data.n,)
+                assert bits(batch.values) == bits(eval_grid(e, grid_data).values)
+                continue
+            assert batch.values.shape == (7, grid_data.n) and batch.fault.shape == (7,)
+            for row, vector in enumerate(matrix):
+                one = eval_grid(e, grid_data, vector)
+                assert bits(batch.values[row]) == bits(one.values), (e, vector)
+                assert batch.fault[row] == one.fault
+
+
+def test_constant_matrix_with_too_few_columns_raises(case1, alpha1_opt):
+    _, data = case1
+    e = parse("C x * C +", Notation.POSTFIX, alpha1_opt)
+    assert e.n_slots == 2
+    with pytest.raises(EvalError):
+        eval_grid(e, data, np.zeros((3, 1)))
+    assert eval_grid(e, data, np.zeros((3, 2))).values.shape == (3, data.n)
+
+
 def test_point_matches_grid_everywhere(case1, alpha1, rng):
     # derived oracle: a one-point dataset at a mesh node gives the full-grid
     # entry, which checks the x-major flat layout

@@ -494,3 +494,93 @@ def test_plan_edge_cases_reach_their_outcome(case1, alpha1_opt, edge):
         assert outcomes[-1].total == math.inf and math.isfinite(outcomes[-2].total)
     else:
         assert any(rejected) and not all(rejected) and not any(bd.note for bd in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# batched totals: many constant vectors in one scan per grid
+
+
+def assert_totals_match_score(e, case, data, vectors, cfg):
+    """``totals`` gives every row the bytes of ``score(...).total``."""
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), e.n_slots)
+    totals = ScoringPlan(e, cfg).totals(case, data, vectors)
+    assert totals.shape == (len(vectors),)
+    plan = ScoringPlan(e, cfg)
+    for row, vector in enumerate(vectors):
+        want = plan.score(case, data, vector).total
+        assert np.float64(totals[row]).tobytes() == np.float64(want).tobytes(), (e, vector)
+    return totals
+
+
+_TOTALS_EDGE_CASES = _PLAN_EDGE_CASES + (
+    "C C -",  # a column that must broadcast to (m, n)
+    "x y * t *",  # no C: one verdict and one total for every row
+    "C x * y * t *",  # at the default threshold small |C| is rejected at x
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=st.data())
+def test_totals_equal_score_for_every_row(case1, alpha1_opt, draws):
+    case, data = case1
+    notation = draws.draw(st.sampled_from((Notation.PREFIX, Notation.POSTFIX)))
+    edge = draws.draw(st.sampled_from((None,) + _TOTALS_EDGE_CASES))
+    if edge is None:
+        seed = draws.draw(st.integers(0, 2**32 - 1))
+        depth = draws.draw(st.integers(0, 4))
+        e = sample_complete(random.Random(seed), notation, depth, alpha1_opt)
+    else:
+        e = convert_notation(parse(edge, Notation.POSTFIX, alpha1_opt, mode="free"), notation)
+    # more rows than one scan of the 10^3 mesh takes, so batches are split
+    vectors = draws.draw(st.lists(
+        st.lists(_CONST_VALUES, min_size=e.n_slots, max_size=e.n_slots),
+        min_size=1, max_size=24))
+    assert_totals_match_score(e, case, data, vectors, draws.draw(st.sampled_from(_PLAN_CONFIGS)))
+
+
+def test_totals_edge_rows_reach_their_outcome(case1, alpha1_opt):
+    case, data = case1
+    default = ObjectiveConfig()
+
+    def totals(text, vectors, cfg=NO_GATE):
+        e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
+        return assert_totals_match_score(e, case, data, vectors, cfg)
+
+    assert np.isinf(totals("I_xx C *", [[1.0], [2.0]])).all()  # order error at x
+    faulting = totals("x C - log t * y +", [[0.0], [5.0], [-3.0]])
+    assert math.isfinite(faulting[0]) and faulting[1] == math.inf  # log faults where x <= 5
+    # T's initial-plane grid is a column broadcast to (m, n); C - C' is -1 on both rows
+    column = totals("C C -", [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+    assert column[0] == column[1] < math.inf and column[2] != column[0]
+    assert np.isinf(totals("C C -", [[1.0, 2.0], [3.0, 4.0]], default)).all()
+    without_c = totals("x y * t *", [[]] * 3)
+    assert without_c[0] == without_c[1] == without_c[2] < math.inf
+    # rejected at x (C = 0, 1e-9) and at t (C = 1: mean |x y| is about 0.6)
+    split = totals("C x * y * t *", [[0.0], [3.0], [1.0], [2.0], [1e-9]], default)
+    assert list(np.isinf(split)) == [True, False, True, False, True]
+
+
+def test_totals_equal_score_on_case2_corpus(case2):
+    case, data = case2
+    alphabet = case_alphabet(case, "vars+const+opt")
+    rng = random.Random(31)
+    checked = 0
+    while checked < 120:
+        notation = (Notation.PREFIX, Notation.POSTFIX)[checked % 2]
+        e = sample_complete(rng, notation, rng.randint(0, 4), alphabet)
+        if not e.n_slots:
+            continue
+        vectors = [[rng.uniform(-10.0, 10.0) for _ in range(e.n_slots)] for _ in range(20)]
+        assert_totals_match_score(e, case, data, vectors, _PLAN_CONFIGS[checked % 4])
+        checked += 1
+
+
+def test_totals_equal_score_at_50_cubed(alpha1_opt):
+    # a 125,000-point mesh: every interior scan holds one row
+    case, data = build_case("case1", (50, 50, 50))
+    rng = random.Random(47)
+    texts = ("C x * y * t +", "x C - y * t * C C * +", "C I * x y * t * +")
+    for text in texts:
+        e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
+        vectors = [[rng.uniform(-3.0, 3.0) for _ in range(e.n_slots)] for _ in range(3)]
+        assert np.isfinite(assert_totals_match_score(e, case, data, vectors, NO_GATE)).any()

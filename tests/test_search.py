@@ -10,10 +10,14 @@ import pytest
 
 from padesr.expr import (
     VAR_X, Notation, TokenKind, convert_notation, make_expr, parse, sample_complete)
-from padesr.pde import ObjectiveConfig, case_alphabet, objective
+from padesr.evaluate import eval_grid
+from padesr.pde import (
+    BATCH_ELEMENTS, ObjectiveConfig, ScoringPlan, build_case, case_alphabet, objective)
 from padesr.symdiff import differentiate
 from padesr.search import (
     ALGORITHMS,
+    CONST_FIT_ITERATIONS,
+    CONST_FIT_SWARM,
     SearchConfig,
     SharedState,
     _crossover,
@@ -23,6 +27,7 @@ from padesr.search import (
     run_search,
     select_action,
 )
+from pso_oracle import fit_constants_oracle
 
 
 def quick_config(algo, **kw):
@@ -54,7 +59,8 @@ def test_pso_minimize_convex_bowl():
 
     hits = 0
     for seed in range(10):
-        best, _ = pso_minimize(bowl, 1, random.Random(seed))
+        best, _ = pso_minimize(lambda vectors: [bowl(v) for v in vectors], 1,
+                               random.Random(seed))
         if 1.0 <= best[0] <= 3.0:
             hits += 1
     assert hits >= 9
@@ -111,6 +117,69 @@ def test_fit_constants_differentiates_once_per_fit(case1, alpha1_opt, monkeypatc
     assert calls == ["x", "y", "t", "x", "y"]
     # the fitted vector scores as it did when each particle ran the objective
     assert objective(e, case, data, consts, cfg.objective).total < math.inf
+
+
+def fit_corpus(alphabet, count):
+    """Seeded ``vars+const+opt`` expressions with at least one slot, both
+    notations, paired with default and zero thresholds."""
+    rng = random.Random(20240905)
+    corpus = []
+    while len(corpus) < count:
+        notation = (Notation.PREFIX, Notation.POSTFIX)[len(corpus) % 2]
+        e = sample_complete(rng, notation, rng.randint(1, 4), alphabet)
+        if e.n_slots:
+            threshold = ObjectiveConfig().threshold if len(corpus) % 3 else 0.0
+            corpus.append((e, quick_config("rs", seed=len(corpus), notation=notation,
+                                           objective=ObjectiveConfig(threshold=threshold))))
+    return corpus
+
+
+def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatch):
+    # the oracle scores one particle at a time; the fit scores the rest of a
+    # pass per call and moves again past the first particle improving gbest
+    case, data = case1
+    calls = []
+    totals = ScoringPlan.totals
+
+    def counting(plan, *args):
+        calls[-1] += 1
+        return totals(plan, *args)
+
+    monkeypatch.setattr(ScoringPlan, "totals", counting)
+    replanned = decided_by_gate = 0
+    for e, cfg in fit_corpus(alpha1_opt, 240):
+        want, mid_pass = fit_constants_oracle(e, case, data, cfg)
+        calls.append(0)
+        assert fit_constants(e, case, data, SharedState(), cfg) == want, e
+        if ScoringPlan(e, cfg.objective).rejects_every_vector(data):
+            assert calls[-1] == 0 and mid_pass == 0
+            decided_by_gate += 1
+        else:
+            # one call per pass, and one more after each mid-pass improvement
+            assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
+            replanned += mid_pass > 0
+    assert replanned >= 20 and decided_by_gate >= 20
+
+
+@pytest.mark.parametrize("mesh", [(10, 10, 10), (20, 20, 20), (5, 5, 4)])
+def test_fit_scans_stay_within_row_bound(alpha1_opt, monkeypatch, mesh):
+    # 8 rows a scan on the 10^3 mesh, 1 on 8,000 points, and a whole pass of
+    # 20 on a mesh the size of a 10^3 boundary plane
+    case, data = build_case("case1", mesh)
+    shapes = []
+
+    def recording(e, grid_data, consts=None):
+        g = eval_grid(e, grid_data, consts)
+        shapes.append(g.values.shape)
+        return g
+
+    monkeypatch.setattr("padesr.pde.eval_grid", recording)
+    cfg = quick_config("rs", objective=ObjectiveConfig(threshold=0.0))
+    for text in ("C x * y * t +", "x C - y * t * C C * +"):
+        fit_constants(parse(text, Notation.POSTFIX, alpha1_opt), case, data, SharedState(), cfg)
+    rows = [shape[0] for shape in shapes if len(shape) == 2]
+    assert max(rows) == min(CONST_FIT_SWARM, max(1, BATCH_ELEMENTS // data.n))
+    assert max(shape[0] * shape[1] for shape in shapes if len(shape) == 2) <= BATCH_ELEMENTS
 
 
 def const_slots(e):
