@@ -36,7 +36,6 @@ from .pde import (
     PdeCase,
     build_case,
     case_alphabet,
-    initial_mse,
     objective,
 )
 from .search import (

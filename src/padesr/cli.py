@@ -39,12 +39,6 @@ ALGORITHM_LABELS = {
 
 SWEEP_HEADER = "#,Algorithm,Depth,Notation,MSE,Non-Optimizable Tokens,Optimizable Token"
 
-_TOKEN_MODE_FLAGS = {
-    "vars": (False, False),
-    "vars+const": (True, False),
-    "vars+const+opt": (True, True),
-}
-
 
 def _default_threads() -> int:
     """Worker count from ``PADESR_THREADS``, 1 when it is unset or empty.
@@ -151,25 +145,14 @@ def report_lines(result: SearchResult, case_id: str = "") -> list[str]:
 
 
 def parse_report(text: str) -> dict[str, str]:
+    """``key=value`` lines, a report or a ``--config`` file, as a dict; keys
+    and values are stripped, and lines starting with ``#`` are skipped."""
     out = {}
     for line in text.splitlines():
         line = line.strip()
-        if line and "=" in line:
+        if line and not line.startswith("#") and "=" in line:
             key, _, value = line.partition("=")
-            out[key] = value
-    return out
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if sep:
-                out[key.strip()] = value.strip()
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -230,7 +213,8 @@ def _cmd_search(args) -> int:
     merged = {}
     if args.config:
         try:
-            merged.update(_load_config_file(args.config))
+            with open(args.config, "r", encoding="utf-8") as fh:
+                merged.update(parse_report(fh.read()))
         except OSError as err:
             print(f"error: config file: {err}", file=sys.stderr)
             return 2
@@ -405,7 +389,7 @@ def _cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for rank, (total, algo, depth, notation, mode) in enumerate(rows, start=1):
-            non_opt, opt = _TOKEN_MODE_FLAGS[mode]
+            non_opt, opt = TOKEN_MODES[mode]
             mse = "inf" if total == math.inf else f"{total:.6g}"
             fh.write(
                 f"{rank},{ALGORITHM_LABELS[algo]},{depth},{notation.value},"

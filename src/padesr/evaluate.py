@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, Token, TokenKind, fold
+from .expr import IC_FAMILY, Expr, Token, TokenKind, fold
 
 
 class EvalError(ValueError):
@@ -59,10 +59,6 @@ class GaussianIc:
         if key == (1, 1):
             return 4.0 * dx * dy * g
         raise ValueError(f"unsupported derivative order {key}")
-
-
-_IC_SPELLINGS = {"I": (0, 0), "I_x": (1, 0), "I_y": (0, 1),
-                 "I_xx": (2, 0), "I_yy": (0, 2), "I_xy": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,8 @@ def build_dataset(
     gy = np.tile(np.repeat(ys, nt), nx)
     gt = np.tile(ts, nx * ny)
     leaf: dict[str, np.ndarray] = {"x": gx, "y": gy, "t": gt}
-    for text, (ox, oy) in _IC_SPELLINGS.items():
-        leaf[text] = ic.derivative(ox, oy, gx, gy)
+    for tok in IC_FAMILY:
+        leaf[tok.text] = ic.derivative(tok.dx, tok.dy, gx, gy)
     return Dataset(xs, ys, ts, leaf, (nx, ny, nt), n)
 
 
@@ -181,8 +177,13 @@ def eval_grid(e: Expr, data: Dataset,
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
     a ``C`` gives an ``(m, n)`` grid and one fault flag per row; one without
-    gives the usual ``n`` values.
+    gives the usual ``n`` values.  Too few constants for ``e``'s slots raise
+    :class:`EvalError` before any arithmetic.
     """
+    if e.n_slots:
+        given = 0 if consts is None else np.shape(consts)[-1]
+        if given < e.n_slots:
+            raise EvalError(f"missing value for constant slot {given}")
     batched = np.ndim(consts) == 2
 
     def leaf(tok: Token):
@@ -190,8 +191,6 @@ def eval_grid(e: Expr, data: Dataset,
         if kind is TokenKind.LITERAL:
             return tok.value
         if kind is TokenKind.CONST:
-            if consts is None or tok.slot >= np.shape(consts)[-1]:
-                raise EvalError(f"missing value for constant slot {tok.slot}")
             if batched:
                 return consts[:, tok.slot:tok.slot + 1]
             return float(consts[tok.slot])

@@ -30,12 +30,18 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
-from .evaluate import Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis
+from .evaluate import (
+    Dataset, EvalError, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis)
 from .expr import Alphabet, Expr, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
 
-TOKEN_MODES = ("vars", "vars+const", "vars+const+opt")
+# token-set mode -> (named and numeric literals, learnable constant ``C``)
+TOKEN_MODES = {
+    "vars": (False, False),
+    "vars+const": (True, False),
+    "vars+const+opt": (True, True),
+}
 
 
 class BcKind(Enum):
@@ -169,10 +175,11 @@ def case_alphabet(case: PdeCase, token_mode: str = "vars+const") -> Alphabet:
     """Search alphabet for a case under one of the three token-set modes."""
     if token_mode not in TOKEN_MODES:
         raise ValueError(f"unknown token mode {token_mode!r}")
+    literals, learnable = TOKEN_MODES[token_mode]
     return make_alphabet(
         bounds=case.bounds(),
-        include_literals=token_mode != "vars",
-        include_learnable=token_mode == "vars+const+opt",
+        include_literals=literals,
+        include_learnable=learnable,
     )
 
 
@@ -205,13 +212,6 @@ def _mean(values: np.ndarray):
 def _mean_square(values: np.ndarray):
     """Mean square per row; infinite for a row holding a non-finite value."""
     return np.where(np.isfinite(values).all(axis=-1), _mean(np.square(values)), math.inf)
-
-
-def initial_mse(T: Expr, case: PdeCase, consts: Optional[Sequence[float]] = None) -> float:
-    """Mean of (T - I)^2 over the (x, y) plane at t = t_lo."""
-    g = eval_grid(T, case.ic_plane, consts)
-    with np.errstate(all="ignore"):
-        return float(_mean_square(g.values - case.ic_plane.leaf["I"]))
 
 
 # A batch of constant vectors is scored max(1, BATCH_ELEMENTS // data.n) rows
@@ -267,6 +267,34 @@ class ScoringPlan:
         """Whether the gate rejects ``g``, per row of a batch."""
         return g.fault | (_mean(np.abs(g.values)) < self.config.threshold)
 
+    def _gate(self, data: Dataset, consts, rows=None):
+        """Test x, y, then t, stopping where the gate rejects every vector.
+
+        Returns ``(note, grids, rows)``: ``grids`` maps each variable to its
+        derivative values, None when the gate rejects, with ``note`` naming
+        the order error that closed it, if one did.  For an ``(m, k)`` matrix
+        ``consts``, whose row indices ``rows`` holds, each variable drops the
+        rows it rejects, so later scans evaluate only the rows still in play:
+        the returned ``rows`` indexes the rows that passed, and the 2-D grids
+        hold those rows alone.  An order error, if any, is met at x: d/dx and
+        d/dy fail on the same leaves.
+        """
+        grids: dict[str, np.ndarray] = {}
+        for v in ("x", "y", "t"):
+            try:
+                g = self._grid(v, data, consts)
+            except DerivativeOrderError as err:
+                return str(err), None, rows
+            miss = self._gate_miss(g)  # one flag, or one per row of a batch
+            if miss.all() if miss.ndim else miss:
+                return "", None, rows
+            grids[v] = g.values
+            if miss.ndim and miss.any():
+                keep = ~miss
+                consts, rows = consts[keep], rows[keep]
+                grids = {u: a[keep] if a.ndim == 2 else a for u, a in grids.items()}
+        return "", grids, rows
+
     def rejects_every_vector(self, data: Dataset) -> bool:
         """Whether the gate rejects ``T`` whatever its constants are.
 
@@ -274,17 +302,11 @@ class ScoringPlan:
         meets an order error or rejects a derivative grid without one.
         Takes only the derivatives scoring any vector would take.
         """
-        for v in ("x", "y", "t"):
-            try:
-                e = self._derivative(v)
-            except DerivativeOrderError:
-                return True
-            if e.n_slots:
-                return False
+        try:
             with np.errstate(all="ignore"):
-                if self._gate_miss(self._grid(v, data, None)):
-                    return True
-        return False
+                return self._gate(data, None)[1] is None
+        except EvalError:  # a gate grid holds a ``C``: the constants decide
+            return False
 
     def _components(self, case: PdeCase, data: Dataset, grids: Mapping[str, np.ndarray],
                     consts) -> tuple:
@@ -326,18 +348,9 @@ class ScoringPlan:
     ) -> MseBreakdown:
         """The breakdown :func:`objective` documents, for one constant vector."""
         with np.errstate(all="ignore"):  # a non-finite value makes its term inf
-            # the gate tests x, y, t in this order and stops at the first
-            # miss.  An order error, if any, is met at x: d/dx and d/dy fail
-            # on the same leaves.
-            grids: dict[str, np.ndarray] = {}
-            for v in ("x", "y", "t"):
-                try:
-                    g = self._grid(v, data, consts)
-                except DerivativeOrderError as err:
-                    return MseBreakdown.rejected(str(err))
-                if self._gate_miss(g):
-                    return MseBreakdown.rejected()
-                grids[v] = g.values
+            note, grids, _ = self._gate(data, consts)
+            if grids is None:
+                return MseBreakdown.rejected(note)
             interior, boundary, initial = self._components(case, data, grids, consts)
         interior, initial = float(interior), float(initial)
         boundary = tuple(float(term) for term in boundary)
@@ -356,32 +369,12 @@ class ScoringPlan:
         step = max(1, BATCH_ELEMENTS // data.n)
         with np.errstate(all="ignore"):
             for start in range(0, len(vectors), step):
-                self._fill_totals(case, data, vectors[start:start + step],
-                                  out[start:start + step])
+                chunk = vectors[start:start + step]
+                _, grids, rows = self._gate(data, chunk, np.arange(len(chunk)))
+                if grids is not None:
+                    terms = self._components(case, data, grids, chunk[rows])
+                    out[start + rows] = _sum(*terms)
         return out
-
-    def _fill_totals(self, case: PdeCase, data: Dataset, vectors: np.ndarray,
-                     out: np.ndarray) -> None:
-        """Write into ``out`` the total of each row the gate passes.
-
-        Each gate variable drops the rows it rejects, as :meth:`score` stops
-        there, so later scans evaluate only the rows still in play.
-        """
-        rows = np.arange(len(vectors))
-        grids: dict[str, np.ndarray] = {}
-        for v in ("x", "y", "t"):
-            try:
-                g = self._grid(v, data, vectors)
-            except DerivativeOrderError:
-                return
-            keep = ~self._gate_miss(g)
-            if not keep.any():
-                return
-            grids[v] = g.values
-            if keep.ndim and not keep.all():
-                vectors, rows = vectors[keep], rows[keep]
-                grids = {u: a[keep] if a.ndim == 2 else a for u, a in grids.items()}
-        out[rows] = _sum(*self._components(case, data, grids, vectors))
 
 
 def _sum(interior, boundary, initial):
@@ -405,9 +398,9 @@ def objective(
     the derivative grid faults, for any of v = x, y, t.  The interior term is
     the mean squared residual T_t + ux*T_x + uy*T_y - kappa*(T_xx + T_yy)
     over ``data``; the boundary terms follow ``case.bcs``; the initial term is
-    :func:`initial_mse`.  An unsupported first derivative rejects ``T`` with a
-    note; a fault, or an unsupported second derivative, makes its component
-    infinite.  Scoring many constant vectors of one ``T`` goes through one
-    :class:`ScoringPlan` instead.
+    the mean of (T - I)^2 over the (x, y) plane at t = t_lo.  An unsupported
+    first derivative rejects ``T`` with a note; a fault, or an unsupported
+    second derivative, makes its component infinite.  Scoring many constant
+    vectors of one ``T`` goes through one :class:`ScoringPlan` instead.
     """
     return ScoringPlan(T, config).score(case, data, consts)

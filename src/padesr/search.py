@@ -2,15 +2,16 @@
 
 Every worker runs an independent instance of the configured algorithm with a
 derived seed; all workers share one :class:`SharedState` holding the
-best-so-far result and the fitted-constant cache.  A constant fit scores the
-rest of a swarm pass in one batched call and moves again only the particles
-after one that improves the global best, so it ends where scoring one particle
-at a time ends.  A worker's scoring call is the one place a run stops, so the
-algorithm loops never test for the end of the run: on a stop request, a passed
-deadline or a spent evaluation cap, the next candidate is not scored and the
-worker ends.  The concurrent variant of MCTS additionally shares its
-visit/score statistics and breaks ties among unvisited actions at random so
-threads fan out over different branches.
+best-so-far result and the fitted-constant cache.  The PSO search and the
+constant fit drive a swarm pass the same way: the search scores one particle
+at a time, and the fit scores the rest of a pass in one batched call and moves
+again only the particles after one that improves the global best, so both end
+where scoring one particle at a time ends.  A worker's scoring call is the one
+place a run stops, so the algorithm loops never test for the end of the run:
+on a stop request, a passed deadline or a spent evaluation cap, the next
+candidate is not scored and the worker ends.  The concurrent variant of MCTS
+additionally shares its visit/score statistics and breaks ties among unvisited
+actions at random so threads fan out over different branches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .symdiff import simplify
 from .evaluate import Dataset
@@ -194,10 +195,9 @@ class SharedState:
 class Swarm:
     """Particle swarm with the global best updated after every particle.
 
-    Positions are drawn at construction.  Each :meth:`step` scores one
-    particle in turn: during the first pass where it was drawn, afterwards
-    after one velocity update.  :meth:`sweep` runs a whole pass and gives
-    the same swarm as that many steps, scoring many particles per call.
+    Positions are drawn at construction.  Each :meth:`sweep` is one pass
+    that scores every particle in turn: in the first pass where it was
+    drawn, afterwards after one velocity update against the current gbest.
     """
 
     def __init__(self, dim: int, size: int, rng: random.Random):
@@ -237,47 +237,45 @@ class Swarm:
                 return True
         return False
 
-    def step(self, fn: Callable[[Sequence[float]], float]) -> None:
-        i = self.steps % len(self.pos)
-        if self.steps >= len(self.pos):
-            self.pos[i], self.vel[i] = self._moved(i, self._draws())
-        self._commit(i, fn(self.pos[i]))
-
-    def sweep(self, fn: Callable[[list[list[float]]], Sequence[float]]) -> None:
+    def sweep(self, fn: Callable[[Iterator[list[float]]], Iterable[float]]) -> None:
         """One pass over every particle, from the first.
 
-        A pass's random draws do not depend on any score, and a particle's
-        move reads only its own state and gbest.  So the rest of a pass is
-        moved and scored in one call, and the scores are recorded in
-        particle order up to the first that improves gbest, whose later
-        particles are moved and scored again against the new gbest.
+        ``fn`` takes the rest of the pass as an iterator of positions, each
+        particle moved when it is taken, and returns their scores in order:
+        a list scores them all at once, a generator one at a time.  Scores
+        are recorded in particle order up to the first that improves gbest;
+        the particles after it are handed to ``fn`` again, moved against the
+        new gbest.  A pass's random draws depend on no score, so they are
+        drawn first.
         """
         size = len(self.pos)
         moving = self.steps >= size
         draws = [self._draws() for _ in range(size)] if moving else None
+        moved = list(zip(self.pos, self.vel))  # (position, velocity) as last taken
+
+        def rest(start: int) -> Iterator[list[float]]:
+            for j in range(start, size):
+                if moving:
+                    moved[j] = self._moved(j, draws[j])
+                yield moved[j][0]
+
         i = 0
         while i < size:
-            if moving:
-                moved = [self._moved(j, draws[j]) for j in range(i, size)]
-            else:
-                moved = list(zip(self.pos[i:], self.vel[i:]))
-            scores = fn([p for p, _ in moved])
-            for j, (p, v), f in zip(range(i, size), moved, scores):
-                self.pos[j], self.vel[j] = p, v
+            for j, f in zip(range(i, size), fn(rest(i))):
+                self.pos[j], self.vel[j] = moved[j]
                 i = j + 1
                 if self._commit(j, f) and moving:
                     break
 
 
 def pso_minimize(
-    fn: Callable[[list[list[float]]], Sequence[float]],
+    fn: Callable[[Iterator[list[float]]], Iterable[float]],
     dim: int,
     rng: random.Random,
 ) -> tuple[list[float], float]:
     """Particle-swarm minimization of a black-box function: one scoring pass
     over the drawn swarm, then ``CONST_FIT_ITERATIONS`` passes of updates.
-    ``fn`` scores a list of vectors at once; the swarm is the one that
-    scoring each particle in turn gives."""
+    ``fn`` scores the rest of a pass, as :meth:`Swarm.sweep` hands it."""
     s = Swarm(dim, CONST_FIT_SWARM, rng)
     for _ in range(CONST_FIT_ITERATIONS + 1):
         s.sweep(fn)
@@ -293,7 +291,7 @@ def fit_constants(
 ) -> tuple[float, ...]:
     """Fit the learnable-constant slots of ``e`` by a short PSO run.
 
-    Each swarm call scores its particles in one
+    Each swarm call scores the rest of a pass in one
     :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, so ``e``
     is differentiated once per fit.  When the gate rejects ``e`` whatever its
     constants are, no particle can score finite and the fit returns the
@@ -312,7 +310,7 @@ def fit_constants(
     if plan.rejects_every_vector(data):
         best = Swarm(e.n_slots, CONST_FIT_SWARM, rng).gbest
     else:
-        best, _ = pso_minimize(lambda vectors: plan.totals(case, data, vectors).tolist(),
+        best, _ = pso_minimize(lambda rest: plan.totals(case, data, list(rest)).tolist(),
                                e.n_slots, rng)
     consts = tuple(best)
     shared.cache_put(key, consts)
@@ -493,11 +491,11 @@ def _decode_particle(vector: Sequence[float], w: _Worker) -> Expr:
 def _run_pso(w: _Worker) -> None:
     swarm = Swarm(min(2 ** (w.config.depth + 1) - 1, PSO_DIM_CAP), PSO_SWARM, w.rng)
 
-    def score(vector: Sequence[float]) -> float:
-        return w.score(_decode_particle(vector, w)).total
+    def score(rest: Iterator[list[float]]) -> Iterator[float]:
+        return (w.score(_decode_particle(vector, w)).total for vector in rest)
 
     while True:
-        swarm.step(score)
+        swarm.sweep(score)
 
 
 def _crossover(rng: random.Random, a: Expr, b: Expr, budget: int) -> tuple[Expr, Expr]:

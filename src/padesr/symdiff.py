@@ -28,11 +28,7 @@ from .evaluate import scalar_binary, scalar_unary
 from .expr import (
     BINARY_TOKENS,
     Expr,
-    IC_X,
-    IC_XX,
-    IC_XY,
-    IC_Y,
-    IC_YY,
+    IC_FAMILY,
     Notation,
     ONE,
     TWO,
@@ -50,8 +46,7 @@ class DerivativeOrderError(ValueError):
     """Initial-condition derivatives are stored only up to total order 2."""
 
 
-_IC_STEP_X = {(0, 0): IC_X, (1, 0): IC_XX, (0, 1): IC_XY}
-_IC_STEP_Y = {(0, 0): IC_Y, (0, 1): IC_YY, (1, 0): IC_XY}
+_IC_BY_ORDER = {(tok.dx, tok.dy): tok for tok in IC_FAMILY}
 
 Chunk = list  # list[Token]; flat buffer holding one complete subexpression
 
@@ -137,8 +132,7 @@ def _d_leaf(tok: Token, var: str) -> Chunk:
     if kind is TokenKind.IC or kind is TokenKind.IC_DERIV:  # I is order (0, 0)
         if var == "t":
             return [ZERO]
-        table = _IC_STEP_X if var == "x" else _IC_STEP_Y
-        nxt = table.get((tok.dx, tok.dy))
+        nxt = _IC_BY_ORDER.get((tok.dx + (var == "x"), tok.dy + (var == "y")))
         if nxt is None:
             raise DerivativeOrderError(
                 f"derivative of {tok.text} with respect to {var} exceeds the "

@@ -29,7 +29,6 @@ from padesr.pde import (
     ScoringPlan,
     build_case,
     case_alphabet,
-    initial_mse,
     objective,
 )
 from padesr.symdiff import DerivativeOrderError, differentiate
@@ -45,8 +44,8 @@ def components(e, case, data):
 
 
 def reference_components(e, case, data, ic_derivatives="analytic"):
-    """(first derivatives fault-free, interior MSE, boundary MSEs) built here
-    from ``differentiate`` and ``eval_grid`` alone."""
+    """(first derivatives fault-free, interior MSE, boundary MSEs, initial
+    MSE) built here from ``differentiate`` and ``eval_grid`` alone."""
 
     def d(expr, var):
         return differentiate(expr, var, ic_derivatives)
@@ -75,7 +74,8 @@ def reference_components(e, case, data, ic_derivatives="analytic"):
             lo = eval_grid(probe, case.planes[(bc.axis, "lo")]).values
             hi = eval_grid(probe, case.planes[(bc.axis, "hi")]).values
             boundary.append(mean_square(lo - hi))
-    return finite, interior, boundary
+        initial = mean_square(eval_grid(e, case.ic_plane).values - case.ic_plane.leaf["I"])
+    return finite, interior, boundary, initial
 
 
 def test_unknown_case_id():
@@ -199,13 +199,13 @@ def test_case2_has_four_periodic_terms(case2, alpha1):
 
 def test_initial_of_ic_is_zero(case1, alpha1):
     case, data = case1
-    assert initial_mse(parse("I", Notation.PREFIX, alpha1), case) == 0.0
+    assert components(parse("I", Notation.PREFIX, alpha1), case, data).initial == 0.0
 
 
 def test_initial_of_zero_is_gaussian_energy(case1, alpha1):
     # derived oracle: closed-form Gaussian sum on the 10x10 plane
     case, data = case1
-    got = initial_mse(parse("0", Notation.PREFIX, alpha1), case)
+    got = components(parse("0", Notation.PREFIX, alpha1), case, data).initial
     xs, ys = np.meshgrid(data.xs, data.ys, indexing="ij")
     expected = float(np.mean((np.exp(-((xs - 1.1) ** 2 + ys**2)) / 0.08) ** 2))
     assert got == pytest.approx(expected, rel=1e-12)
@@ -213,7 +213,8 @@ def test_initial_of_zero_is_gaussian_energy(case1, alpha1):
 
 def test_initial_offset_by_one(case1, alpha1):
     case, data = case1
-    assert initial_mse(parse("I 1 +", Notation.POSTFIX, alpha1), case) == pytest.approx(1.0)
+    e = parse("I 1 +", Notation.POSTFIX, alpha1)
+    assert components(e, case, data).initial == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +293,11 @@ def test_objective_matches_component_ops(case1, alpha1, rng):
         if bd.gate_rejected:
             continue
         found += 1
-        finite, interior, boundary = reference_components(e, case, data)
+        finite, interior, boundary, initial = reference_components(e, case, data)
         assert finite
         assert bd.interior == interior
         assert list(bd.boundary) == boundary
-        assert bd.initial == initial_mse(e, case)
+        assert bd.initial == initial
 
 
 def test_total_is_exact_left_to_right_sum(case1, alpha1, rng):
@@ -424,10 +425,11 @@ def test_data_reading_reaches_every_component(case1, alpha1, rng):
         if bd.gate_rejected:
             continue
         found += 1
-        finite, interior, boundary = reference_components(e, case, data, "data")
+        finite, interior, boundary, initial = reference_components(e, case, data, "data")
         assert finite
         assert bd.interior == interior
         assert list(bd.boundary) == boundary
+        assert bd.initial == initial
         if "I" in e.text.split():
             with_ic += 1
         else:

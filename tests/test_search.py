@@ -18,8 +18,10 @@ from padesr.search import (
     ALGORITHMS,
     CONST_FIT_ITERATIONS,
     CONST_FIT_SWARM,
+    PSO_SWARM,
     SearchConfig,
     SharedState,
+    Swarm,
     _crossover,
     _mutate_span,
     fit_constants,
@@ -64,6 +66,57 @@ def test_pso_minimize_convex_bowl():
         if 1.0 <= best[0] <= 3.0:
             hits += 1
     assert hits >= 9
+
+
+def test_lazy_and_batch_sweeps_drive_one_swarm(monkeypatch):
+    # one swarm is scored a position at a time, its twin the rest of a pass
+    # per call; the bowl's gbest improves mid-pass, so the batch twin moves
+    # the particles after an improvement again and the lazy one moves each once
+    def bowl(v):
+        return sum((c - 1.0) ** 2 for c in v)
+
+    moves = 0
+    moved = Swarm._moved
+
+    def counting(swarm, i, draws):
+        nonlocal moves
+        moves += swarm is lazy
+        return moved(swarm, i, draws)
+
+    monkeypatch.setattr(Swarm, "_moved", counting)
+    size, passes = 10, 6
+    lazy, batch = Swarm(3, size, random.Random(5)), Swarm(3, size, random.Random(5))
+    taken = batch_calls = 0
+
+    def one_at_a_time(rest):
+        nonlocal taken
+        for p in rest:
+            taken += 1
+            yield bowl(p)
+
+    def all_at_once(rest):
+        nonlocal batch_calls
+        batch_calls += 1
+        return [bowl(p) for p in rest]
+
+    for _ in range(passes):
+        taken = 0
+        lazy.sweep(one_at_a_time)
+        assert taken == size
+        batch.sweep(all_at_once)
+    assert batch_calls > passes  # gbest improved mid-pass
+    assert moves == (passes - 1) * size
+    assert lazy.pos == batch.pos and lazy.vel == batch.vel
+    assert lazy.pbest == batch.pbest and lazy.pbest_f == batch.pbest_f
+    assert lazy.gbest == batch.gbest and lazy.gbest_f == batch.gbest_f
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pso_stopped_inside_a_moving_pass_scores_its_cap(case1, threads):
+    case, data = case1
+    assert PSO_SWARM < 75 < 2 * PSO_SWARM
+    result = run_search(quick_config("pso", max_evals=75, threads=threads), case, data)
+    assert result.evaluations == 75
 
 
 def test_fit_constants_no_slots_no_cache(case1, alpha1):
@@ -158,7 +211,7 @@ def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatc
             # one call per pass, and one more after each mid-pass improvement
             assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
             replanned += mid_pass > 0
-    assert replanned >= 20 and decided_by_gate >= 20
+    assert replanned >= 20 and decided_by_gate == 143
 
 
 @pytest.mark.parametrize("mesh", [(10, 10, 10), (20, 20, 20), (5, 5, 4)])
