@@ -404,3 +404,67 @@ def test_sweep_unknown_algo_exit_2(tmp_path, capsys):
         "--algos", "bogus",
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# output digest: every command's exit code, stdout, stderr and written files
+
+CLI_CONFIG = ("case=case1\nalgo=rs\ndepth=2\nnotation=postfix\ntokens=vars\n"
+              "time=30\nseed=9\nmax-evals=30\nthreads=1\n")
+CLI_CONFIG_MESH = ("# fitted constants on a coarser mesh\ncase = case2\nalgo=gp\ndepth=2\n"
+                   "notation=prefix\ntokens=vars+const+opt\ntime=60\nseed=3\n"
+                   "max-evals=40\nthreads=1\nthreshold=0\nmesh=8,8,8\nunused=1\n")
+CLI_BAD_CONFIG = "case=case1\nalgo=rs\ndepth=lots\nnotation=postfix\n"
+CLI_COMMANDS = (
+    ("evaluate", "--case", "case1", "--notation", "prefix", "--expr", "I", "--threshold", "0"),
+    ("evaluate", "--case", "case1", "--notation", "prefix", "--expr", "I", "--threshold", "0",
+     "--ic-derivatives", "data"),
+    ("evaluate", "--case", "case1", "--notation", "postfix", "--expr", "x C * t +"),
+    ("evaluate", "--case", "case1", "--notation", "prefix", "--expr", "+ y_0 x",
+     "--bind", "y_0=-1.1", "--threshold", "0"),
+    ("evaluate", "--case", "case2", "--notation", "postfix", "--expr", "x y + t sech *",
+     "--mesh", "6,6,6"),
+    ("evaluate", "--case", "case1", "--notation", "prefix", "--expr", "+ x bogus"),
+    ("evaluate", "--case", "case1", "--notation", "prefix", "--expr", "+ y_0 x"),
+    ("diff", "--expr", "* x sin x", "--notation", "prefix", "--wrt", "x", "--order", "2"),
+    ("diff", "--expr", "+ I_xx I_yy", "--notation", "prefix", "--wrt", "x"),
+    ("diff", "--expr", "x x_max * I /", "--notation", "postfix", "--wrt", "x", "--case", "case2"),
+    ("diff", "--expr", "I", "--notation", "postfix", "--wrt", "y", "--order", "2"),
+    ("search", "--config", "{tmp}/run.cfg", "--depth", "1", "--out", "{tmp}/r1.txt"),
+    ("search", "--config", "{tmp}/mesh.cfg", "--seed", "5"),
+    ("search", "--config", "{tmp}/mesh.cfg", "--mesh", "6,6,6", "--algo", "sa",
+     "--tokens", "vars+const", "--out", "{tmp}/r2.txt"),
+    ("search", "--case", "case1", "--algo", "sa", "--depth", "2", "--notation", "postfix",
+     "--time", "30", "--seed", "2", "--max-evals", "50", "--threshold", "0",
+     "--threads", "1", "--seed-expr", "I t sech *"),
+    ("search", "--case", "case1", "--algo", "rs", "--depth", "2", "--notation", "postfix",
+     "--time", "2", "--max-evals", "0"),
+    ("search", "--case", "case1"),
+    ("search", "--config", "{tmp}/bad.cfg"),
+    ("search", "--config", "{tmp}/missing.cfg"),
+    ("search", "--case", "case1", "--algo", "sa", "--depth", "2", "--notation", "postfix",
+     "--tokens", "vars", "--seed-expr", "x C *", "--max-evals", "5"),
+    ("sweep", "--case", "case1", "--time-per-config", "30", "--out", "{tmp}/sweep.csv",
+     "--algos", "rs,sa", "--depths", "2..3", "--notations", "prefix,postfix",
+     "--token-sets", "vars,vars+const", "--max-evals", "60", "--seed", "3", "--threads", "1"),
+)
+# recorded before the option handling of ``search`` was merged into one path
+CLI_DIGEST = "235c9ef8aef29e3df2f3515580157174aba03d9de524a19d32e5b4716cf2cee2"
+
+
+def test_cli_output_digest(tmp_path, capsys, monkeypatch):
+    import hashlib
+    import re
+
+    monkeypatch.delenv("PADESR_THREADS", raising=False)
+    (tmp_path / "run.cfg").write_text(CLI_CONFIG)
+    (tmp_path / "mesh.cfg").write_text(CLI_CONFIG_MESH)
+    (tmp_path / "bad.cfg").write_text(CLI_BAD_CONFIG)
+    digest = hashlib.sha256()
+    for argv in CLI_COMMANDS:
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        written = [p.read_text() for p in sorted(tmp_path.glob("*.*"))]
+        text = "\n\0".join([str(code), out, err, *written]).replace(str(tmp_path), "{tmp}")
+        text = re.sub(r"(elapsed=|improvement_\d+=)[0-9.]+", r"\1*", text)
+        digest.update(text.encode())
+    assert digest.hexdigest() == CLI_DIGEST
