@@ -1,15 +1,20 @@
 """Command-line surface: search, evaluate, diff, and the configuration sweep.
 
-Exit codes: 0 on success, 2 on usage or parse errors, including option values
-that :class:`~padesr.search.SearchConfig` rejects.  Reports are flat
-UTF-8 ``key=value`` blocks; sweep output is a CSV whose columns mirror the
-best-configuration tables (rank, algorithm, depth, notation, MSE, token-set
-flags).  ``PADESR_THREADS`` supplies the default worker count.
+``search`` merges its ``--config`` pairs and the flags given into one dict,
+flags winning, and turns it into the objective settings, the case and
+:class:`~padesr.search.SearchConfig` in one step.  Exit codes: 0 on success,
+2 on usage or parse errors, including option values that ``SearchConfig``
+rejects and an ``--out`` that cannot be written, all found before any search
+runs.  Reports are flat UTF-8 ``key=value`` blocks; sweep output is a CSV
+whose columns mirror the best-configuration tables (rank, algorithm, depth,
+notation, MSE, token-set flags).  ``PADESR_THREADS`` supplies the default
+worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import os
@@ -17,10 +22,13 @@ import sys
 from typing import Optional, Sequence
 
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate, simplify
-from .expr import Notation, ParseError, parse, render_infix
+from .expr import Expr, Notation, ParseError, parse, render_infix
 from .pde import (
     CASE_IDS,
+    DEFAULT_THRESHOLD,
+    MseBreakdown,
     ObjectiveConfig,
+    PdeCase,
     TOKEN_MODES,
     build_case,
     case_alphabet,
@@ -67,28 +75,24 @@ def _parse_mesh(text: str) -> tuple[int, int, int]:
     return nx, ny, nt
 
 
-def _parse_bindings(pairs: Optional[Sequence[str]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs or ():
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"binding {pair!r} must be name=value")
-        out[name.strip()] = float(value)
-    return out
+def _parse_binding(pair: str) -> tuple[str, float]:
+    name, _, value = pair.partition("=")
+    try:
+        return name.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"binding {pair!r} must be name=value") from None
 
 
 def _parse_depth_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        v = int(text)
-        return v, v
-    return int(lo), int(hi)
+    return int(lo), int(hi if sep else lo)
 
 
-def _fmt(value: float) -> str:
-    if value == math.inf:
-        return "inf"
-    return repr(value)
+def _check_out(path: str) -> None:
+    """Fail before any search runs when ``path`` cannot be a new or existing file."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is not a file in an existing directory")
 
 
 def bind_constants(expr, consts: Sequence[float]) -> str:
@@ -112,7 +116,7 @@ def report_lines(result: SearchResult, case_id: str = "") -> list[str]:
         f"threads={cfg.threads}",
         f"time={cfg.time_budget}",
         f"seed={cfg.seed}",
-        f"threshold={_fmt(cfg.objective.threshold)}",
+        f"threshold={cfg.objective.threshold!r}",
         f"mesh={cfg.objective.mesh[0]},{cfg.objective.mesh[1]},{cfg.objective.mesh[2]}",
         f"elapsed={result.elapsed:.3f}",
         f"evaluations={result.evaluations}",
@@ -120,7 +124,6 @@ def report_lines(result: SearchResult, case_id: str = "") -> list[str]:
     if result.empty:
         lines.append("status=no-evaluations")
         return lines
-    bd = result.breakdown
     lines += [
         "status=ok",
         f"best_tokens={result.expr.text}",
@@ -130,18 +133,21 @@ def report_lines(result: SearchResult, case_id: str = "") -> list[str]:
         # fitted constants substituted as literals, so the evaluate command
         # can re-score the exact reported candidate
         f"best_bound_tokens={bind_constants(result.expr, result.consts)}",
-        f"gate_rejected={str(bd.gate_rejected).lower()}",
-        f"mse_interior={_fmt(bd.interior)}",
-    ]
-    for i, term in enumerate(bd.boundary, start=1):
-        lines.append(f"mse_boundary_{i}={_fmt(term)}")
-    lines += [
-        f"mse_initial={_fmt(bd.initial)}",
-        f"mse_total={_fmt(bd.total)}",
+        f"gate_rejected={str(result.breakdown.gate_rejected).lower()}",
+        *_mse_lines(result.breakdown),
     ]
     for i, (t, mse) in enumerate(result.improvements):
-        lines.append(f"improvement_{i}={t:.3f},{_fmt(mse)}")
+        lines.append(f"improvement_{i}={t:.3f},{mse!r}")
     return lines
+
+
+def _mse_lines(bd: MseBreakdown) -> list[str]:
+    return [
+        f"mse_interior={bd.interior!r}",
+        *(f"mse_boundary_{i}={term!r}" for i, term in enumerate(bd.boundary, start=1)),
+        f"mse_initial={bd.initial!r}",
+        f"mse_total={bd.total!r}",
+    ]
 
 
 def parse_report(text: str) -> dict[str, str]:
@@ -160,7 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="padesr")
     sub = top.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("search", help="run one expression search")
+    # a flag not given stays out of the namespace, so it cannot hide a --config value
+    sp = sub.add_parser("search", help="run one expression search",
+                        argument_default=argparse.SUPPRESS)
     sp.add_argument("--config", help="key=value file; flags override")
     sp.add_argument("--case", choices=CASE_IDS)
     sp.add_argument("--algo", choices=ALGORITHMS)
@@ -172,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--threshold", type=float)
     sp.add_argument("--mesh", type=_parse_mesh)
-    sp.add_argument("--seed-expr")
-    sp.add_argument("--max-evals", type=int)
+    sp.add_argument("--seed-expr", dest="seed-expr")
+    sp.add_argument("--max-evals", dest="max-evals", type=int)
     sp.add_argument("--out")
 
     ev = sub.add_parser("evaluate", help="score an expression against a case")
@@ -181,8 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--notation", choices=[n.value for n in Notation], required=True)
     ev.add_argument("--expr", required=True)
     ev.add_argument("--mesh", type=_parse_mesh, default=(10, 10, 10))
-    ev.add_argument("--threshold", type=float, default=None)
-    ev.add_argument("--bind", action="append", metavar="NAME=VALUE")
+    ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    ev.add_argument("--bind", type=_parse_binding, action="append", default=[],
+                    metavar="NAME=VALUE")
     ev.add_argument("--ic-derivatives", choices=IC_DERIVATIVE_MODES, default="analytic",
                     help="'data' differentiates I and I_x, ... as zero-derivative columns")
 
@@ -211,77 +220,54 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_search(args) -> int:
     merged = {}
-    if args.config:
+    if "config" in args:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                merged.update(parse_report(fh.read()))
+                merged = parse_report(fh.read())
         except OSError as err:
             print(f"error: config file: {err}", file=sys.stderr)
             return 2
-    for key, attr in (
-        ("case", "case"), ("algo", "algo"), ("depth", "depth"),
-        ("notation", "notation"), ("tokens", "tokens"), ("threads", "threads"),
-        ("time", "time"), ("seed", "seed"), ("threshold", "threshold"),
-        ("seed-expr", "seed_expr"), ("max-evals", "max_evals"), ("out", "out"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
-    if args.mesh is not None:
-        merged["mesh"] = f"{args.mesh[0]},{args.mesh[1]},{args.mesh[2]}"
+    merged.update(vars(args))  # flags win; keys keep their flag spellings
     missing = [k for k in ("case", "algo", "depth", "notation") if k not in merged]
     if missing:
         print(f"error: missing required options: {', '.join(missing)}", file=sys.stderr)
         return 2
     try:
-        mesh = merged.get("mesh", "10,10,10")
+        mesh = merged.get("mesh", (10, 10, 10))
         if isinstance(mesh, str):
             mesh = _parse_mesh(mesh)
-        threshold = merged.get("threshold")
-        obj = ObjectiveConfig(
-            threshold=float(threshold) if threshold is not None else ObjectiveConfig().threshold,
-            mesh=mesh,
-        )
-        notation = Notation(merged["notation"])
+        obj = ObjectiveConfig(threshold=float(merged.get("threshold", DEFAULT_THRESHOLD)),
+                              mesh=mesh)
         case, data = build_case(merged["case"], mesh)
-    except (argparse.ArgumentTypeError, ValueError) as err:
-        print(f"error: bad option value: {err}", file=sys.stderr)
-        return 2
-    token_mode = str(merged.get("tokens", "vars+const"))
-    seed_expr = None
-    if merged.get("seed-expr"):
-        # the seed uses the run's own tokens: mutation carries them into the best
-        try:
-            alphabet = case_alphabet(case, token_mode)
-        except ValueError as err:
-            print(f"error: bad option value: {err}", file=sys.stderr)
-            return 2
-        try:
-            seed_expr = parse(str(merged["seed-expr"]), notation, alphabet)
-        except ParseError as err:
-            print(f"error: seed expression: {err}", file=sys.stderr)
-            return 2
-    try:
         config = SearchConfig(
             algorithm=str(merged["algo"]),
             depth=int(merged["depth"]),
-            notation=notation,
-            token_mode=token_mode,
+            notation=Notation(merged["notation"]),
+            token_mode=str(merged.get("tokens", "vars+const")),
             threads=int(merged["threads"]) if "threads" in merged else _default_threads(),
             time_budget=float(merged.get("time", 5.0)),
             seed=int(merged.get("seed", 0)),
             objective=obj,
-            seed_expr=seed_expr,
             max_evals=int(merged["max-evals"]) if "max-evals" in merged else None,
         )
-    except (TypeError, ValueError) as err:
+        if merged.get("seed-expr"):
+            # the seed uses the run's own tokens: mutation carries them into the best
+            alphabet = case_alphabet(case, config.token_mode)
+            seed_expr = parse(str(merged["seed-expr"]), config.notation, alphabet)
+            config = dataclasses.replace(config, seed_expr=seed_expr)
+        out = merged.get("out")
+        if out:
+            _check_out(out)
+    except ParseError as err:
+        print(f"error: seed expression: {err}", file=sys.stderr)
+        return 2
+    except (argparse.ArgumentTypeError, TypeError, ValueError) as err:
         print(f"error: bad option value: {err}", file=sys.stderr)
         return 2
     result = run_search(config, case, data)
     text = "\n".join(report_lines(result, merged["case"])) + "\n"
-    out = merged.get("out")
     if out:
-        with open(str(out), "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -289,58 +275,43 @@ def _cmd_search(args) -> int:
         print("no candidate was evaluated within the budget", file=sys.stderr)
     else:
         print(
-            f"best mse_total={_fmt(result.breakdown.total)} "
+            f"best mse_total={result.breakdown.total!r} "
             f"expr: {render_infix(result.simplified, result.consts or None)}",
             file=sys.stderr,
         )
     return 0
 
 
+def _parse_free(args, case: PdeCase, bindings: Optional[dict[str, float]] = None) -> Expr:
+    """``--expr`` in free mode, over the case's full token set (see ``expr.parse``)."""
+    return parse(args.expr, Notation(args.notation), case_alphabet(case, "vars+const+opt"),
+                 mode="free", bindings=bindings)
+
+
 def _cmd_evaluate(args) -> int:
     case, data = build_case(args.case, args.mesh)
-    alphabet = case_alphabet(case, "vars+const+opt")
     try:
-        bindings = _parse_bindings(args.bind)
-    except (argparse.ArgumentTypeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        expr = parse(args.expr, Notation(args.notation), alphabet,
-                     mode="free", bindings=bindings)
+        expr = _parse_free(args, case, dict(args.bind))
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    threshold = args.threshold
-    obj = ObjectiveConfig(
-        threshold=threshold if threshold is not None else ObjectiveConfig().threshold,
-        mesh=args.mesh,
-        ic_derivatives=args.ic_derivatives,
-    )
+    obj = ObjectiveConfig(threshold=args.threshold, mesh=args.mesh,
+                          ic_derivatives=args.ic_derivatives)
     consts = tuple(0.0 for _ in range(expr.n_slots))
     bd = objective(expr, case, data, consts or None, obj)
     print(f"ic_derivatives={obj.ic_derivatives}")
     print(f"gate={'rejected' if bd.gate_rejected else 'pass'}")
-    print(f"mse_interior={_fmt(bd.interior)}")
-    for i, term in enumerate(bd.boundary, start=1):
-        print(f"mse_boundary_{i}={_fmt(term)}")
-    print(f"mse_initial={_fmt(bd.initial)}")
-    print(f"mse_total={_fmt(bd.total)}")
+    print("\n".join(_mse_lines(bd)))
     return 0
 
 
 def _cmd_diff(args) -> int:
     case, _ = build_case(args.case, (2, 2, 2))
-    alphabet = case_alphabet(case, "vars+const+opt")
     try:
-        expr = parse(args.expr, Notation(args.notation), alphabet, mode="free")
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        out = expr
+        out = _parse_free(args, case)
         for _ in range(args.order):
             out = differentiate(out, args.wrt)
-    except DerivativeOrderError as err:
+    except (ParseError, DerivativeOrderError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(out.text)
@@ -373,6 +344,7 @@ def _cmd_sweep(args) -> int:
             )
             for index, (algo, notation, depth, mode) in enumerate(grid)
         ]
+        _check_out(args.out)
     except ValueError as err:
         print(f"error: bad option value: {err}", file=sys.stderr)
         return 2
@@ -390,10 +362,9 @@ def _cmd_sweep(args) -> int:
         fh.write(SWEEP_HEADER + "\n")
         for rank, (total, algo, depth, notation, mode) in enumerate(rows, start=1):
             non_opt, opt = TOKEN_MODES[mode]
-            mse = "inf" if total == math.inf else f"{total:.6g}"
             fh.write(
                 f"{rank},{ALGORITHM_LABELS[algo]},{depth},{notation.value},"
-                f"{mse},{non_opt},{opt}\n"
+                f"{total:.6g},{non_opt},{opt}\n"
             )
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
@@ -403,16 +374,13 @@ def _stable_sweep_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) & 0xFFFFFFFF
 
 
+_COMMANDS = {"search": _cmd_search, "evaluate": _cmd_evaluate, "diff": _cmd_diff,
+             "sweep": _cmd_sweep}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "search":
-        return _cmd_search(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    return _cmd_sweep(args)
+    args = _build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

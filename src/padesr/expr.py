@@ -26,8 +26,7 @@ class Notation(str, Enum):
 
 class TokenKind(Enum):
     VARIABLE = "variable"
-    IC = "ic"
-    IC_DERIV = "ic_deriv"
+    IC = "ic"  # I and its stored derivatives; I is the member at order (0, 0)
     LITERAL = "literal"
     CONST = "const"
     UNARY = "unary"
@@ -50,7 +49,6 @@ BINARY_OPS = ("+", "-", "*", "/", "^")
 _ARITY = {
     TokenKind.VARIABLE: 0,
     TokenKind.IC: 0,
-    TokenKind.IC_DERIV: 0,
     TokenKind.LITERAL: 0,
     TokenKind.CONST: 0,
     TokenKind.UNARY: 1,
@@ -92,11 +90,11 @@ VAR_X = Token(TokenKind.VARIABLE, "x")
 VAR_Y = Token(TokenKind.VARIABLE, "y")
 VAR_T = Token(TokenKind.VARIABLE, "t")
 IC_TOKEN = Token(TokenKind.IC, "I")
-IC_X = Token(TokenKind.IC_DERIV, "I_x", dx=1)
-IC_Y = Token(TokenKind.IC_DERIV, "I_y", dy=1)
-IC_XX = Token(TokenKind.IC_DERIV, "I_xx", dx=2)
-IC_YY = Token(TokenKind.IC_DERIV, "I_yy", dy=2)
-IC_XY = Token(TokenKind.IC_DERIV, "I_xy", dx=1, dy=1)
+IC_X = Token(TokenKind.IC, "I_x", dx=1)
+IC_Y = Token(TokenKind.IC, "I_y", dy=1)
+IC_XX = Token(TokenKind.IC, "I_xx", dx=2)
+IC_YY = Token(TokenKind.IC, "I_yy", dy=2)
+IC_XY = Token(TokenKind.IC, "I_xy", dx=1, dy=1)
 IC_FAMILY = (IC_TOKEN, IC_X, IC_Y, IC_XX, IC_YY, IC_XY)
 
 ZERO = _lit("0", 0.0)
@@ -358,16 +356,16 @@ def legal_tokens(
 
     depths = _postfix_depths(partial, budget)
     out: list[Token] = []
-    # the stack after pushing a leaf, applying a unary, applying a binary
-    leaf_ok = _min_completion_depth(depths + [0]) <= budget
+    # A pushed leaf merges into the top entry before anything below it, so it
+    # reaches the same bound as a unary on the top entry; on an empty stack
+    # it is the whole expression.
     unary_ok = bool(depths) and _min_completion_depth(
         depths[:-1] + [depths[-1] + 1]) <= budget
-    binary_ok = len(depths) >= 2  # merging the top two leaves the bound as it is
-    if leaf_ok:
+    if unary_ok or not depths:
         out.extend(alphabet.leaves)
     if unary_ok:
         out.extend(alphabet.unaries)
-    if binary_ok:
+    if len(depths) >= 2:  # merging the top two leaves the bound as it is
         out.extend(alphabet.binaries)
     return out
 

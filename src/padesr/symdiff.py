@@ -129,7 +129,7 @@ def _d_leaf(tok: Token, var: str) -> Chunk:
     kind = tok.kind
     if kind is TokenKind.VARIABLE:
         return [ONE] if tok.text == var else [ZERO]
-    if kind is TokenKind.IC or kind is TokenKind.IC_DERIV:  # I is order (0, 0)
+    if kind is TokenKind.IC:
         if var == "t":
             return [ZERO]
         nxt = _IC_BY_ORDER.get((tok.dx + (var == "x"), tok.dy + (var == "y")))

@@ -327,6 +327,32 @@ def test_evaluate_bad_binding_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["y_0=abc", "y_0"])
+def test_evaluate_malformed_binding_is_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "evaluate", "--case", "case1", "--notation", "postfix",
+                             "--expr", "x y_0 +", "--bind", value)
+    assert code == 2
+    assert not out
+    assert "argument --bind" in err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_unwritable_out_exit_2_before_any_search(tmp_path, capsys, monkeypatch, argv, where):
+    import padesr.cli
+
+    calls = []
+    real = padesr.cli.run_search
+    monkeypatch.setattr(padesr.cli, "run_search", lambda *a: calls.append(a) or real(*a))
+    out_path = tmp_path / "missing" / "r.txt" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert not out
+    assert "error:" in err
+    assert calls == []
+    assert not any(tmp_path.iterdir())
+
+
 def test_env_threads_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PADESR_THREADS", "2")
     out_path = tmp_path / "r.txt"
