@@ -1,5 +1,8 @@
 """Command-line surface: reports, evaluate/diff output, sweep CSV shape."""
 
+import hashlib
+import re
+
 import pytest
 
 from padesr.cli import SWEEP_HEADER, main, parse_report
@@ -339,11 +342,11 @@ def test_evaluate_malformed_binding_is_usage_error(capsys, value):
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 @pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
 def test_unwritable_out_exit_2_before_any_search(tmp_path, capsys, monkeypatch, argv, where):
-    import padesr.cli
+    from padesr import cli
 
     calls = []
-    real = padesr.cli.run_search
-    monkeypatch.setattr(padesr.cli, "run_search", lambda *a: calls.append(a) or real(*a))
+    real = cli.run_search
+    monkeypatch.setattr(cli, "run_search", lambda *a: calls.append(a) or real(*a))
     out_path = tmp_path / "missing" / "r.txt" if where == "missing directory" else tmp_path
     code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 2
@@ -479,9 +482,6 @@ CLI_DIGEST = "235c9ef8aef29e3df2f3515580157174aba03d9de524a19d32e5b4716cf2cee2"
 
 
 def test_cli_output_digest(tmp_path, capsys, monkeypatch):
-    import hashlib
-    import re
-
     monkeypatch.delenv("PADESR_THREADS", raising=False)
     (tmp_path / "run.cfg").write_text(CLI_CONFIG)
     (tmp_path / "mesh.cfg").write_text(CLI_CONFIG_MESH)

@@ -33,14 +33,8 @@ X, Y, T = sp.symbols("x y t", real=True)
 FAMILY = {tok.text: sp.Symbol(tok.text, real=True) for tok in IC_FAMILY}
 PER_NOTATION = 150
 REL = 1e-4
-# derivative name -> (padesr variables in order, sympy diff arguments)
-DERIVATIVES = {
-    "x": ("x", (X,)),
-    "y": ("y", (Y,)),
-    "t": ("t", (T,)),
-    "xx": ("xx", (X, 2)),
-    "yy": ("yy", (Y, 2)),
-}
+# the variables differentiated in order -> sympy.diff's arguments
+DERIVATIVES = {"x": (X,), "y": (Y,), "t": (T,), "xx": (X, 2), "yy": (Y, 2)}
 UNARY = {
     "~": lambda a: -a, "log": sp.log, "exp": sp.exp, "cos": sp.cos, "sin": sp.sin,
     "sqrt": sp.sqrt, "asin": sp.asin, "acos": sp.acos, "tanh": sp.tanh, "sech": sp.sech,
@@ -98,9 +92,9 @@ def test_differentiate_matches_sympy(case1, reading):
             skipped += len(DERIVATIVES)
             continue
         consts = [slot + 0.5 for slot in range(e.n_slots)]
-        for name, (order, args) in DERIVATIVES.items():
+        for name, args in DERIVATIVES.items():
             ours = e
-            for var in order:
+            for var in name:
                 ours = differentiate(ours, var, ic_derivatives=reading)
             theirs = sp.diff(form, *args)
             if theirs.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
@@ -121,5 +115,5 @@ def test_differentiate_matches_sympy(case1, reading):
             worst = max(worst, error)
             assert error <= REL, f"{e.notation.value} d/d{name} {e.text}: {error:.3g}"
             checked += 1
-    # most of the corpus is checked, not skipped
-    assert checked >= 4 * PER_NOTATION, (checked, skipped, worst)
+    # at least 80% of the 2 * PER_NOTATION * 5 comparisons run, not skipped
+    assert checked >= 8 * PER_NOTATION, (checked, skipped, worst)
