@@ -180,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--threshold", type=float)
     sp.add_argument("--mesh", type=_parse_mesh)
-    sp.add_argument("--seed-expr", dest="seed-expr")
-    sp.add_argument("--max-evals", dest="max-evals", type=int)
+    sp.add_argument("--seed-expr")
+    sp.add_argument("--max-evals", type=int)
     sp.add_argument("--out")
 
     ev = sub.add_parser("evaluate", help="score an expression against a case")
@@ -227,7 +227,7 @@ def _cmd_search(args) -> int:
         except OSError as err:
             print(f"error: config file: {err}", file=sys.stderr)
             return 2
-    merged.update(vars(args))  # flags win; keys keep their flag spellings
+    merged.update((k.replace("_", "-"), v) for k, v in vars(args).items())  # flags win
     missing = [k for k in ("case", "algo", "depth", "notation") if k not in merged]
     if missing:
         print(f"error: missing required options: {', '.join(missing)}", file=sys.stderr)
