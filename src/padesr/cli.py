@@ -289,14 +289,18 @@ def _parse_free(args, case: PdeCase, bindings: Optional[dict[str, float]] = None
 
 
 def _cmd_evaluate(args) -> int:
+    try:
+        obj = ObjectiveConfig(threshold=args.threshold, mesh=args.mesh,
+                              ic_derivatives=args.ic_derivatives)
+    except ValueError as err:
+        print(f"error: bad option value: {err}", file=sys.stderr)
+        return 2
     case, data = build_case(args.case, args.mesh)
     try:
         expr = _parse_free(args, case, dict(args.bind))
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    obj = ObjectiveConfig(threshold=args.threshold, mesh=args.mesh,
-                          ic_derivatives=args.ic_derivatives)
     consts = tuple(0.0 for _ in range(expr.n_slots))
     bd = objective(expr, case, data, consts or None, obj)
     print(f"ic_derivatives={obj.ic_derivatives}")

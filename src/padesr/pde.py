@@ -32,7 +32,7 @@ import numpy as np
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
 from .evaluate import (
     Dataset, EvalError, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis)
-from .expr import Alphabet, Expr, make_alphabet
+from .expr import ZERO, Alphabet, Expr, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
 
@@ -64,6 +64,8 @@ class ObjectiveConfig:
     ic_derivatives: str = "analytic"  # or "data": I is a zero-derivative column
 
     def __post_init__(self) -> None:
+        if not self.threshold >= 0:  # a NaN threshold would switch the gate off
+            raise ValueError(f"threshold must be 0 or more, got {self.threshold!r}")
         if self.ic_derivatives not in IC_DERIVATIVE_MODES:
             raise ValueError(f"unknown ic_derivatives mode {self.ic_derivatives!r}")
 
@@ -298,13 +300,23 @@ class ScoringPlan:
     def rejects_every_vector(self, data: Dataset) -> bool:
         """Whether the gate rejects ``T`` whatever its constants are.
 
-        True when, before the gate reaches a derivative holding a ``C``, it
-        meets an order error or rejects a derivative grid without one.
-        Takes only the derivatives scoring any vector would take.
+        True, before any grid is evaluated, when the threshold is positive
+        and dT/dx, dT/dy or dT/dt is the literal ``0`` (tested in that order,
+        up to the first that is), or when d/dx meets an order error: a ``0``
+        derivative evaluates to a zero grid without fault, whose mean is below
+        any positive threshold, so every vector is rejected at that variable
+        if not before.  Otherwise True when, before the gate reaches a
+        derivative grid holding a ``C``, it rejects one without.  The first
+        derivatives are taken through the plan, so scoring takes none again.
         """
         try:
+            if self.config.threshold > 0 and any(
+                    self._derivative(v).tokens == (ZERO,) for v in "xyt"):
+                return True
             with np.errstate(all="ignore"):
                 return self._gate(data, None)[1] is None
+        except DerivativeOrderError:
+            return True
         except EvalError:  # a gate grid holds a ``C``: the constants decide
             return False
 

@@ -285,6 +285,8 @@ SEARCH_ARGV = ("search", "--case", "case1", "--algo", "rs", "--depth", "1",
                "--notation", "postfix", "--time", "5", "--max-evals", "5")
 SWEEP_ARGV = ("sweep", "--case", "case1", "--algos", "rs", "--depths", "1",
               "--notations", "postfix", "--token-sets", "vars", "--max-evals", "5")
+EVALUATE_ARGV = ("evaluate", "--case", "case1", "--notation", "postfix", "--expr", "x y * t *",
+                 "--mesh", "10,10,10", "--ic-derivatives", "analytic", "--threshold", "0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,6 +295,10 @@ SWEEP_ARGV = ("sweep", "--case", "case1", "--algos", "rs", "--depths", "1",
     SEARCH_ARGV + ("--depth", "-1"),
     SEARCH_ARGV + ("--mesh", "10,10,1"),
     SEARCH_ARGV + ("--seed-expr", "x"),  # only sa reads a seed expression
+    SEARCH_ARGV + ("--threshold=nan",),  # mean < nan is False: the gate would never reject
+    SEARCH_ARGV + ("--threshold=-1",),
+    EVALUATE_ARGV + ("--threshold=nan",),
+    EVALUATE_ARGV + ("--threshold=-0.5",),
     SWEEP_ARGV + ("--threads", "0"),
     SWEEP_ARGV + ("--time-per-config", "0"),
     SWEEP_ARGV + ("--depths", "-1"),
@@ -310,8 +316,10 @@ def test_bad_option_value_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("config", ["missing", "case=bogus\nalgo=rs\ndepth=1\nnotation=postfix\n"],
-                         ids=["missing", "unknown case"])
+@pytest.mark.parametrize("config", ["missing", "case=bogus\nalgo=rs\ndepth=1\nnotation=postfix\n",
+                                    "case=case1\nalgo=rs\ndepth=1\nnotation=postfix\n"
+                                    "threshold=nan\nmax-evals=5\n"],
+                         ids=["missing", "unknown case", "nan threshold"])
 def test_search_config_file_errors_exit_2(tmp_path, capsys, config):
     path = tmp_path / "run.cfg"
     if config != "missing":

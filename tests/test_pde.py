@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from padesr.evaluate import eval_grid
 from padesr.expr import (
     BINARY_TOKENS,
+    ZERO,
     Notation,
     convert_notation,
     make_expr,
@@ -586,3 +587,75 @@ def test_totals_equal_score_at_50_cubed(alpha1_opt):
         e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
         vectors = [[rng.uniform(-3.0, 3.0) for _ in range(e.n_slots)] for _ in range(3)]
         assert np.isfinite(assert_totals_match_score(e, case, data, vectors, NO_GATE)).any()
+
+
+# ---------------------------------------------------------------------------
+# the fit's early exit: a plan that rejects every vector before any grid
+
+# postfix, parsed in free mode and converted to each notation
+_EARLY_EXIT_CASES = (
+    "I_x C * y +",  # analytic: dT/dx and dT/dy hold I_xx and I_xy, dT/dt is 0
+    "I_xx C * t +",  # analytic: d/dx raises an order error; data: dT/dx is 0
+    "I_xy C * x + t *",  # analytic: d/dx raises an order error
+    "x 0 * C + t *",  # holds x, yet dT/dx is the literal 0
+    "C x * y *",  # no t: dT/dt is 0 while dT/dx holds a C
+)
+# no x leaf, yet under the analytic reading large |C| passes the gate: I and
+# I_x differentiate by x into I_x and I_xx
+_GATE_PASSING_CASES = ("I C * t *", "I_x C * t *")
+_EXIT_VALUES = st.one_of(st.floats(-20.0, 20.0), st.sampled_from((0.0, 1.0, -1.0, 1e300)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=st.data())
+def test_rejecting_every_vector_is_exact(case1, alpha1_opt, draws):
+    case, data = case1
+    notation = draws.draw(st.sampled_from((Notation.PREFIX, Notation.POSTFIX)))
+    edge = draws.draw(st.sampled_from((None,) + _EARLY_EXIT_CASES + _GATE_PASSING_CASES))
+    if edge is None:
+        seed = draws.draw(st.integers(0, 2**32 - 1))
+        depth = draws.draw(st.integers(1, 4))
+        e = sample_complete(random.Random(seed), notation, depth, alpha1_opt)
+    else:
+        e = convert_notation(parse(edge, Notation.POSTFIX, alpha1_opt, mode="free"), notation)
+    cfg = draws.draw(st.sampled_from(_PLAN_CONFIGS))
+    plan = ScoringPlan(e, cfg)
+    decided = plan.rejects_every_vector(data)
+
+    zero_first_derivative = False
+    for v in "xyt":
+        try:
+            zero_first_derivative |= differentiate(e, v, cfg.ic_derivatives).tokens == (ZERO,)
+        except DerivativeOrderError:
+            pass
+    if cfg.threshold > 0 and zero_first_derivative:
+        assert decided, e.text
+    if decided:
+        vectors = draws.draw(st.lists(
+            st.lists(_EXIT_VALUES, min_size=e.n_slots, max_size=e.n_slots),
+            min_size=1, max_size=24))
+        vectors = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), e.n_slots)
+        assert np.isinf(ScoringPlan(e, cfg).totals(case, data, vectors)).all(), e.text
+        for consts in vectors:
+            bd = plan.score(case, data, consts)
+            assert bd.gate_rejected and bd == objective(e, case, data, consts, cfg), e.text
+
+
+@pytest.mark.parametrize("edge", _EARLY_EXIT_CASES)
+def test_early_exit_cases_are_decided_before_any_grid(case1, alpha1_opt, edge, monkeypatch):
+    # the property's hand-written candidates reach the early exit under both
+    # readings at the default threshold, and evaluate no grid to get there
+    case, data = case1
+    e = parse(edge, Notation.POSTFIX, alpha1_opt, mode="free")
+    monkeypatch.setattr("padesr.pde.eval_grid", None)
+    for reading in ("analytic", "data"):
+        assert ScoringPlan(e, ObjectiveConfig(ic_derivatives=reading)).rejects_every_vector(data)
+
+
+@pytest.mark.parametrize("edge", _GATE_PASSING_CASES)
+def test_gate_passing_cases_pass_under_the_analytic_reading(case1, alpha1_opt, edge):
+    case, data = case1
+    e = parse(edge, Notation.POSTFIX, alpha1_opt, mode="free")
+    cfg = ObjectiveConfig()
+    assert not ScoringPlan(e, cfg).rejects_every_vector(data)
+    assert not objective(e, case, data, (20.0,), cfg).gate_rejected

@@ -172,6 +172,28 @@ def test_fit_constants_differentiates_once_per_fit(case1, alpha1_opt, monkeypatc
     assert objective(e, case, data, consts, cfg.objective).total < math.inf
 
 
+def test_fit_of_a_literal_zero_derivative_scores_no_particle(case1, alpha1_opt, monkeypatch):
+    # no t, so dT/dt is the literal 0 and the gate rejects every particle,
+    # although dT/dx holds the C: the fit returns the first drawn position
+    # without scoring a pass, as the full swarm returns it
+    case, data = case1
+    e = parse("C x * y *", Notation.POSTFIX, alpha1_opt)
+    cfg = quick_config("rs", seed=3)
+    want, mid_pass = fit_constants_oracle(e, case, data, cfg)
+    calls = {"totals": 0, "eval_grid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ScoringPlan, "totals", counted("totals", ScoringPlan.totals))
+    monkeypatch.setattr("padesr.pde.eval_grid", counted("eval_grid", eval_grid))
+    assert fit_constants(e, case, data, SharedState(), cfg) == want
+    assert calls == {"totals": 0, "eval_grid": 0} and mid_pass == 0
+
+
 def fit_corpus(alphabet, count):
     """Seeded ``vars+const+opt`` expressions with at least one slot, both
     notations, paired with default and zero thresholds."""
@@ -211,7 +233,7 @@ def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatc
             # one call per pass, and one more after each mid-pass improvement
             assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
             replanned += mid_pass > 0
-    assert replanned >= 20 and decided_by_gate == 143
+    assert replanned >= 20 and decided_by_gate == 158
 
 
 @pytest.mark.parametrize("mesh", [(10, 10, 10), (20, 20, 20), (5, 5, 4)])
@@ -487,3 +509,8 @@ def test_invalid_configs_rejected():
         with pytest.raises(ValueError):
             quick_config(algo, **bad)
     quick_config("rs", depth=0, max_evals=0)  # both bounds are inclusive
+    for threshold in (math.nan, -1.0, -math.inf):  # NaN would switch the gate off
+        with pytest.raises(ValueError):
+            ObjectiveConfig(threshold=threshold)
+    for threshold in (0.0, math.inf):
+        assert ObjectiveConfig(threshold=threshold).threshold == threshold

@@ -8,8 +8,11 @@ import pytest
 
 from fd_oracle import FdOracle
 from padesr.evaluate import eval_grid
-from padesr.expr import Notation, Token, convert_notation, parse, sample_complete
+from padesr.expr import (
+    ZERO, Notation, Token, TokenKind, convert_notation, parse, sample_complete)
+from padesr.pde import TOKEN_MODES, case_alphabet
 from padesr.symdiff import (
+    IC_DERIVATIVE_MODES,
     DerivativeOrderError,
     differentiate,
     simplify,
@@ -239,3 +242,31 @@ def test_simplify_derivative_chains(case1, alpha1):
     d2 = simplify(differentiate(differentiate(e, "x"), "x"))
     a = eval_grid(d2, data)
     assert np.allclose(a.values, 2.0, atol=1e-10)
+
+
+def test_derivative_by_an_absent_variable_is_the_literal_zero(case1):
+    # the premise of rejecting at the gate before any grid: every identity
+    # rewrite passes a zero on, so a derivative by a variable T does not hold
+    # is the one token 0.  For x and y, the analytic reading also needs no
+    # I-family leaf, whose derivatives are the stored I_x, I_xx, ...  The
+    # converse fails: ``x 0 *`` holds x and still differentiates to 0.
+    case, _ = case1
+    rng = random.Random(20241019)
+    reached = 0
+    for mode in TOKEN_MODES:
+        alphabet = case_alphabet(case, mode)
+        for i in range(300):
+            e = sample_complete(rng, NOTATIONS[i % 2], rng.randint(0, 6), alphabet)
+            kinds = {(tok.kind, tok.text) for tok in e.tokens}
+            has_ic = any(kind is TokenKind.IC for kind, _ in kinds)
+            for var in "xyt":
+                if (TokenKind.VARIABLE, var) in kinds:
+                    continue
+                for reading in IC_DERIVATIVE_MODES:
+                    if has_ic and var != "t" and reading == "analytic":
+                        continue
+                    assert differentiate(e, var, reading).tokens == (ZERO,), (e.text, var)
+                    reached += 1
+    assert reached > 1000
+    x_times_zero = parse("x 0 *", Notation.POSTFIX, case_alphabet(case, "vars+const"))
+    assert differentiate(x_times_zero, "x").tokens == (ZERO,)
