@@ -18,6 +18,10 @@ against one plan, so an expression is differentiated once per fit, and
 :meth:`ScoringPlan.totals` scores a batch of vectors in one scan per grid: a
 ``C`` reads a column of the batch, each term is reduced per row, and every
 row's total has the bits :meth:`ScoringPlan.score` gives that vector.
+:meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit:
+at a positive threshold a first derivative that is the literal ``0`` decides
+it before any grid is evaluated.  ``threshold`` is 0 or more; a NaN one would
+switch the gate off, since no mean compares below it.
 """
 
 from __future__ import annotations

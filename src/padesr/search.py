@@ -294,8 +294,10 @@ def fit_constants(
     Each swarm call scores the rest of a pass in one
     :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, so ``e``
     is differentiated once per fit.  When the gate rejects ``e`` whatever its
-    constants are, no particle can score finite and the fit returns the
-    first drawn position, as the full run would.  Results are cached in the
+    constants are (see :meth:`~padesr.pde.ScoringPlan.rejects_every_vector`:
+    at a positive threshold, a first derivative that is the literal ``0``),
+    no particle can score finite and the fit returns the first drawn
+    position unscored, as the full run would.  Results are cached in the
     shared state under the expression key; the fit seed is derived from the
     key so every thread computes the same vector.
     """
