@@ -603,7 +603,7 @@ _EARLY_EXIT_CASES = (
 # no x leaf, yet under the analytic reading large |C| passes the gate: I and
 # I_x differentiate by x into I_x and I_xx
 _GATE_PASSING_CASES = ("I C * t *", "I_x C * t *")
-_EXIT_VALUES = st.one_of(st.floats(-20.0, 20.0), st.sampled_from((0.0, 1.0, -1.0, 1e300)))
+_EXIT_VALUES = st.one_of(_CONST_VALUES, st.sampled_from((1.0, -1.0)))
 
 
 @settings(max_examples=150, deadline=None)
