@@ -127,7 +127,7 @@ def report_lines(result: SearchResult, case_id: str = "") -> list[str]:
     lines += [
         "status=ok",
         f"best_tokens={result.expr.text}",
-        f"best_simplified={result.simplified.text}",
+        f"best_simplified={simplify(result.expr).text}",
         f"best_infix={render_infix(result.expr, result.consts or None)}",
         f"constants={','.join(repr(c) for c in result.consts)}",
         # fitted constants substituted as literals, so the evaluate command
@@ -276,7 +276,7 @@ def _cmd_search(args) -> int:
     else:
         print(
             f"best mse_total={result.breakdown.total!r} "
-            f"expr: {render_infix(result.simplified, result.consts or None)}",
+            f"expr: {render_infix(simplify(result.expr), result.consts or None)}",
             file=sys.stderr,
         )
     return 0

@@ -18,10 +18,10 @@ against one plan, so an expression is differentiated once per fit, and
 :meth:`ScoringPlan.totals` scores a batch of vectors in one scan per grid: a
 ``C`` reads a column of the batch, each term is reduced per row, and every
 row's total has the bits :meth:`ScoringPlan.score` gives that vector.
-:meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit:
-at a positive threshold a first derivative that is the literal ``0`` decides
-it before any grid is evaluated.  ``threshold`` is 0 or more; a NaN one would
-switch the gate off, since no mean compares below it.
+:meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit,
+from the derivatives alone: a first derivative that is the literal ``0`` at a
+positive threshold, or an order error.  ``threshold`` is 0 or more; a NaN one
+would switch the gate off, since no mean compares below it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
 from .evaluate import (
-    Dataset, EvalError, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis)
+    Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis)
 from .expr import ZERO, Alphabet, Expr, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -274,7 +274,8 @@ class ScoringPlan:
         return g.fault | (_mean(np.abs(g.values)) < self.config.threshold)
 
     def _gate(self, data: Dataset, consts, rows=None):
-        """Test x, y, then t, stopping where the gate rejects every vector.
+        """Test x, y, then t, stopping where the gate rejects every vector:
+        one vector for :meth:`score`, a batch for :meth:`totals`.
 
         Returns ``(note, grids, rows)``: ``grids`` maps each variable to its
         derivative values, None when the gate rejects, with ``note`` naming
@@ -301,28 +302,24 @@ class ScoringPlan:
                 grids = {u: a[keep] if a.ndim == 2 else a for u, a in grids.items()}
         return "", grids, rows
 
-    def rejects_every_vector(self, data: Dataset) -> bool:
-        """Whether the gate rejects ``T`` whatever its constants are.
+    def rejects_every_vector(self) -> bool:
+        """Whether the gate rejects ``T`` whatever its constants are, read
+        from its derivatives alone, without evaluating a grid.
 
-        True, before any grid is evaluated, when the threshold is positive
-        and dT/dx, dT/dy or dT/dt is the literal ``0`` (tested in that order,
-        up to the first that is), or when d/dx meets an order error: a ``0``
-        derivative evaluates to a zero grid without fault, whose mean is below
-        any positive threshold, so every vector is rejected at that variable
-        if not before.  Otherwise True when, before the gate reaches a
-        derivative grid holding a ``C``, it rejects one without.  The first
-        derivatives are taken through the plan, so scoring takes none again.
+        True when the threshold is positive and dT/dx, dT/dy or dT/dt is the
+        literal ``0`` (tested in that order, up to the first that is), or
+        when d/dx meets an order error: a ``0`` derivative evaluates to a zero
+        grid without fault, whose mean is below any positive threshold.
+        False otherwise, also where a ``C``-free grid fails the gate, which
+        scoring then rejects on every row.  The first derivatives are taken
+        through the plan, so scoring takes none again.
         """
         try:
-            if self.config.threshold > 0 and any(
-                    self._derivative(v).tokens == (ZERO,) for v in "xyt"):
-                return True
-            with np.errstate(all="ignore"):
-                return self._gate(data, None)[1] is None
+            self._derivative("x")  # d/dy fails on the same leaves, d/dt on none
+            return self.config.threshold > 0 and any(
+                self._derivative(v).tokens == (ZERO,) for v in "xyt")
         except DerivativeOrderError:
             return True
-        except EvalError:  # a gate grid holds a ``C``: the constants decide
-            return False
 
     def _components(self, case: PdeCase, data: Dataset, grids: Mapping[str, np.ndarray],
                     consts) -> tuple:

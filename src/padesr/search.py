@@ -24,7 +24,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .symdiff import simplify
 from .evaluate import Dataset
 from .expr import (
     Alphabet,
@@ -124,7 +123,6 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchResult:
     expr: Optional[Expr]
-    simplified: Optional[Expr]
     breakdown: Optional[MseBreakdown]
     consts: tuple[float, ...]
     elapsed: float
@@ -147,7 +145,8 @@ class SharedState:
     effect: fits are deterministic given the key, so a racing second writer
     stores the same value.  The concurrent-MCTS statistics are updated without
     locking; lost increments are harmless, the dictionaries themselves stay
-    consistent under the interpreter lock.
+    consistent under the interpreter lock.  There are two, N(s,a) and Q(s,a);
+    N(s) is derived from N(s,a), so no third map can disagree with them.
     """
 
     def __init__(self) -> None:
@@ -157,8 +156,7 @@ class SharedState:
         self.evaluations = 0
         self.const_cache: dict[str, tuple[float, ...]] = {}
         self.stop = threading.Event()
-        # concurrent-MCTS maps: N(s), N(s,a), Q(s,a)
-        self.visits: dict[str, int] = {}
+        # concurrent-MCTS maps: N(s,a), Q(s,a)
         self.action_visits: dict[tuple[str, str], int] = {}
         self.action_value: dict[tuple[str, str], float] = {}
 
@@ -293,13 +291,13 @@ def fit_constants(
 
     Each swarm call scores the rest of a pass in one
     :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, so ``e``
-    is differentiated once per fit.  When the gate rejects ``e`` whatever its
-    constants are (see :meth:`~padesr.pde.ScoringPlan.rejects_every_vector`:
-    at a positive threshold, a first derivative that is the literal ``0``),
-    no particle can score finite and the fit returns the first drawn
-    position unscored, as the full run would.  Results are cached in the
-    shared state under the expression key; the fit seed is derived from the
-    key so every thread computes the same vector.
+    is differentiated once per fit.  When the derivatives of ``e`` show that
+    the gate rejects it whatever its constants are (see
+    :meth:`~padesr.pde.ScoringPlan.rejects_every_vector`), no particle can
+    score finite and the fit returns the first drawn position unscored, as
+    the full run would.  Results are cached in the shared state under the
+    expression key; the fit seed is derived from the key so every thread
+    computes the same vector.
     """
     if e.n_slots == 0:
         return ()
@@ -309,7 +307,7 @@ def fit_constants(
         return cached
     rng = random.Random(_mix(config.seed, _key_salt(key)))
     plan = ScoringPlan(e, config.objective)
-    if plan.rejects_every_vector(data):
+    if plan.rejects_every_vector():
         best = Swarm(e.n_slots, CONST_FIT_SWARM, rng).gbest
     else:
         best, _ = pso_minimize(lambda rest: plan.totals(case, data, list(rest)).tolist(),
@@ -322,7 +320,6 @@ def fit_constants(
 def select_action(
     state_key: str,
     legal: Sequence[Token],
-    visits: dict[str, int],
     action_visits: dict[tuple[str, str], int],
     action_value: dict[tuple[str, str], float],
     c: float,
@@ -332,14 +329,15 @@ def select_action(
 
     Unvisited actions come first: the first one in ``legal`` order, or, when
     ``rng`` is given (concurrent MCTS) and several remain, a uniform random
-    one.  Otherwise the UCT argmax, ties going to the lowest index.
+    one.  Otherwise the UCT argmax, ties going to the lowest index; N(s) is
+    the sum of N(s,a) over ``legal``, as every pass through s takes one.
     """
     unvisited = [tok for tok in legal if action_visits.get((state_key, tok.text), 0) == 0]
     if unvisited:
         if rng is None or len(unvisited) == 1:
             return unvisited[0], True
         return unvisited[rng.randrange(len(unvisited))], True
-    n_state = max(visits.get(state_key, 0), 1)
+    n_state = sum(action_visits[(state_key, tok.text)] for tok in legal)
     best_tok = legal[0]
     best_score = -math.inf
     for tok in legal:
@@ -438,10 +436,10 @@ def _run_mcts(w: _Worker) -> None:
     cfg, shared, alphabet = w.config, w.shared, w.alphabet
     concurrent = cfg.algorithm == "cmcts"
     if concurrent:
-        stats = (shared.visits, shared.action_visits, shared.action_value)
+        stats = (shared.action_visits, shared.action_value)
     else:
-        stats = ({}, {}, {})
-    visits, action_visits, action_value = stats
+        stats = ({}, {})
+    action_visits, action_value = stats
     stall_iters = MCTS_STALL_ITERS[cfg.algorithm]
     c = UCT_C
     stall = 0
@@ -462,7 +460,6 @@ def _run_mcts(w: _Worker) -> None:
         breakdown = w.score(expr)
         reward = 1.0 / (1.0 + breakdown.total)
         for skey, atext in path:
-            visits[skey] = visits.get(skey, 0) + 1
             action_visits[(skey, atext)] = action_visits.get((skey, atext), 0) + 1
             action_value[(skey, atext)] = action_value.get((skey, atext), 0.0) + reward
         best_now = shared.best_total
@@ -617,12 +614,11 @@ def run_search(config: SearchConfig, case: PdeCase, data: Dataset) -> SearchResu
     elapsed = time.monotonic() - start
     improvements = tuple(sorted(entry for w in workers for entry in w.log))
     if shared.best is None:
-        return SearchResult(None, None, None, (), elapsed, shared.evaluations, config,
+        return SearchResult(None, None, (), elapsed, shared.evaluations, config,
                             improvements)
     _, expr, consts, breakdown = shared.best
     return SearchResult(
         expr=expr,
-        simplified=simplify(expr),
         breakdown=breakdown,
         consts=consts,
         elapsed=elapsed,

@@ -9,7 +9,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padesr.expr import (
     BINARY_TOKENS,
@@ -30,6 +30,7 @@ from padesr.expr import (
     span_at,
     token_path_depths,
 )
+from padesr.pde import TOKEN_MODES, case_alphabet
 
 NOTATIONS = (Notation.PREFIX, Notation.POSTFIX)
 
@@ -249,15 +250,20 @@ def test_render_examples(alpha1):
     assert render_infix(parse("x 2 ^", Notation.POSTFIX, alpha1)) == "(x^2)"
 
 
-def test_render_round_trips_through_infix_reader(alpha1, rng):
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NOTATIONS), st.sampled_from(tuple(TOKEN_MODES)), st.integers(0, 5),
+       st.randoms(use_true_random=False))
+def test_render_round_trips_through_infix_reader(case1, notation, token_mode, depth, rng):
+    # the infix rendering, the token text and the other notation each lead
+    # back to the same expression, constant slots included
     from infix_reader import read_infix
 
-    for _ in range(300):
-        notation = NOTATIONS[rng.randrange(2)]
-        e = sample_complete(rng, notation, 4, alpha1)
-        text = render_infix(e)
-        again = read_infix(text, notation, alpha1)
-        assert again.tokens == e.tokens
+    alphabet = case_alphabet(case1[0], token_mode)
+    e = sample_complete(rng, notation, depth, alphabet)
+    assert read_infix(render_infix(e), notation, alphabet) == e
+    assert parse(e.text, notation, alphabet) == e
+    other = NOTATIONS[1 - NOTATIONS.index(notation)]
+    assert convert_notation(convert_notation(e, other), notation).tokens == e.tokens
 
 
 def test_convert_examples(alpha1):

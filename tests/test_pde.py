@@ -8,6 +8,7 @@ import hashlib
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -603,24 +604,28 @@ _EARLY_EXIT_CASES = (
 # no x leaf, yet under the analytic reading large |C| passes the gate: I and
 # I_x differentiate by x into I_x and I_xx
 _GATE_PASSING_CASES = ("I C * t *", "I_x C * t *")
+_EXIT_CORPUS = (None,) + _EARLY_EXIT_CASES + _GATE_PASSING_CASES
 _EXIT_VALUES = st.one_of(_CONST_VALUES, st.sampled_from((1.0, -1.0)))
+
+
+def _exit_candidate(draws, alphabet, edge):
+    """``edge`` in a drawn notation, or for None a sampled candidate of depth 1-4."""
+    notation = draws.draw(st.sampled_from((Notation.PREFIX, Notation.POSTFIX)))
+    if edge is None:
+        seed = draws.draw(st.integers(0, 2**32 - 1))
+        depth = draws.draw(st.integers(1, 4))
+        return sample_complete(random.Random(seed), notation, depth, alphabet)
+    return convert_notation(parse(edge, Notation.POSTFIX, alphabet, mode="free"), notation)
 
 
 @settings(max_examples=150, deadline=None)
 @given(draws=st.data())
 def test_rejecting_every_vector_is_exact(case1, alpha1_opt, draws):
     case, data = case1
-    notation = draws.draw(st.sampled_from((Notation.PREFIX, Notation.POSTFIX)))
-    edge = draws.draw(st.sampled_from((None,) + _EARLY_EXIT_CASES + _GATE_PASSING_CASES))
-    if edge is None:
-        seed = draws.draw(st.integers(0, 2**32 - 1))
-        depth = draws.draw(st.integers(1, 4))
-        e = sample_complete(random.Random(seed), notation, depth, alpha1_opt)
-    else:
-        e = convert_notation(parse(edge, Notation.POSTFIX, alpha1_opt, mode="free"), notation)
+    e = _exit_candidate(draws, alpha1_opt, draws.draw(st.sampled_from(_EXIT_CORPUS)))
     cfg = draws.draw(st.sampled_from(_PLAN_CONFIGS))
     plan = ScoringPlan(e, cfg)
-    decided = plan.rejects_every_vector(data)
+    decided = plan.rejects_every_vector()
 
     zero_first_derivative = False
     for v in "xyt":
@@ -641,15 +646,22 @@ def test_rejecting_every_vector_is_exact(case1, alpha1_opt, draws):
             assert bd.gate_rejected and bd == objective(e, case, data, consts, cfg), e.text
 
 
-@pytest.mark.parametrize("edge", _EARLY_EXIT_CASES)
-def test_early_exit_cases_are_decided_before_any_grid(case1, alpha1_opt, edge, monkeypatch):
-    # the property's hand-written candidates reach the early exit under both
-    # readings at the default threshold, and evaluate no grid to get there
-    case, data = case1
-    e = parse(edge, Notation.POSTFIX, alpha1_opt, mode="free")
-    monkeypatch.setattr("padesr.pde.eval_grid", None)
-    for reading in ("analytic", "data"):
-        assert ScoringPlan(e, ObjectiveConfig(ic_derivatives=reading)).rejects_every_vector(data)
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the early exit evaluated a grid")
+
+
+@pytest.mark.parametrize("edge", _EXIT_CORPUS)
+@settings(max_examples=150, deadline=None)
+@given(draws=st.data())
+def test_early_exit_cases_are_decided_before_any_grid(alpha1_opt, edge, draws):
+    # the property's corpus decides the early exit under both readings and
+    # both thresholds without evaluating a grid; its hand-written exit
+    # candidates reach it under both readings at the default threshold
+    e = _exit_candidate(draws, alpha1_opt, edge)
+    with mock.patch("padesr.pde.eval_grid", _no_grid):
+        decided = {cfg: ScoringPlan(e, cfg).rejects_every_vector() for cfg in _PLAN_CONFIGS}
+    if edge in _EARLY_EXIT_CASES:
+        assert all(decided[cfg] for cfg in _PLAN_CONFIGS if cfg.threshold > 0), e.text
 
 
 @pytest.mark.parametrize("edge", _GATE_PASSING_CASES)
@@ -657,5 +669,5 @@ def test_gate_passing_cases_pass_under_the_analytic_reading(case1, alpha1_opt, e
     case, data = case1
     e = parse(edge, Notation.POSTFIX, alpha1_opt, mode="free")
     cfg = ObjectiveConfig()
-    assert not ScoringPlan(e, cfg).rejects_every_vector(data)
+    assert not ScoringPlan(e, cfg).rejects_every_vector()
     assert not objective(e, case, data, (20.0,), cfg).gate_rejected

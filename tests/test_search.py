@@ -194,6 +194,30 @@ def test_fit_of_a_literal_zero_derivative_scores_no_particle(case1, alpha1_opt, 
     assert calls == {"totals": 0, "eval_grid": 0} and mid_pass == 0
 
 
+def test_fit_of_a_c_free_gate_miss_runs_the_swarm_to_the_same_result(
+        case1, alpha1_opt, monkeypatch):
+    # dT/dx is the C-free 0.001, below the default threshold without being
+    # the literal 0, and dT/dy and dT/dt hold the C: the early exit leaves it
+    # to the swarm, whose every total is inf, so the fit returns the first
+    # drawn position as the oracle does
+    case, data = case1
+    e = parse("x 0.001 * C y * t * +", Notation.POSTFIX, alpha1_opt, mode="free")
+    cfg = quick_config("rs", seed=5)
+    assert not ScoringPlan(e, cfg.objective).rejects_every_vector()
+    want, _ = fit_constants_oracle(e, case, data, cfg)
+    passes = []
+    totals = ScoringPlan.totals
+
+    def recording(plan, *args):
+        passes.append(totals(plan, *args))
+        return passes[-1]
+
+    monkeypatch.setattr(ScoringPlan, "totals", recording)
+    assert fit_constants(e, case, data, SharedState(), cfg) == want
+    assert len(passes) == CONST_FIT_ITERATIONS + 1
+    assert all(total == math.inf for p in passes for total in p)
+
+
 def fit_corpus(alphabet, count):
     """Seeded ``vars+const+opt`` expressions with at least one slot, both
     notations, paired with default and zero thresholds."""
@@ -226,14 +250,14 @@ def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatc
         want, mid_pass = fit_constants_oracle(e, case, data, cfg)
         calls.append(0)
         assert fit_constants(e, case, data, SharedState(), cfg) == want, e
-        if ScoringPlan(e, cfg.objective).rejects_every_vector(data):
+        if ScoringPlan(e, cfg.objective).rejects_every_vector():
             assert calls[-1] == 0 and mid_pass == 0
             decided_by_gate += 1
         else:
             # one call per pass, and one more after each mid-pass improvement
             assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
             replanned += mid_pass > 0
-    assert replanned >= 20 and decided_by_gate == 158
+    assert replanned >= 20 and decided_by_gate == 157
 
 
 @pytest.mark.parametrize("mesh", [(10, 10, 10), (20, 20, 20), (5, 5, 4)])
@@ -302,7 +326,7 @@ class NoDraws(random.Random):
 
 
 def test_select_all_unvisited_uniform(alpha1):
-    stats = ({}, {}, {})
+    stats = ({}, {})
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
     seen = set()
     for i in range(60):
@@ -313,35 +337,33 @@ def test_select_all_unvisited_uniform(alpha1):
 
 
 def test_select_first_unvisited_without_rng_draw(alpha1):
-    visits, action_visits, action_value = {"s": 1}, {("s", "x"): 1}, {("s", "x"): 1.0}
+    action_visits, action_value = {("s", "x"): 1}, {("s", "x"): 1.0}
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
-    tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4)
+    tok, expand = select_action("s", legal, action_visits, action_value, 1.4)
     assert (tok.text, expand) == ("y", True)
     # concurrent MCTS draws only when several actions are unvisited
     action_visits[("s", "y")] = 1
-    tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4,
+    tok, expand = select_action("s", legal, action_visits, action_value, 1.4,
                                 NoDraws(0))
     assert (tok.text, expand) == ("t", True)
 
 
 def test_select_single_unvisited_preempts_uct(alpha1):
-    visits = {"s": 10}
     action_visits = {("s", "x"): 6, ("s", "t"): 4}
     action_value = {("s", "x"): 6.0}  # perfect mean reward
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
     for i in range(20):
-        tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4,
+        tok, expand = select_action("s", legal, action_visits, action_value, 1.4,
                                     random.Random(i))
         assert (tok.text, expand) == ("y", True)
 
 
 def test_select_tie_breaks_lowest_index(alpha1):
-    visits = {"s": 9}
     action_visits = {("s", text): 3 for text in ("x", "y", "t")}
     action_value = {("s", text): 1.5 for text in ("x", "y", "t")}
     legal = [_tok(alpha1, t) for t in ("x", "y", "t")]
     for rng in (None, NoDraws(0)):
-        tok, expand = select_action("s", legal, visits, action_visits, action_value, 1.4, rng)
+        tok, expand = select_action("s", legal, action_visits, action_value, 1.4, rng)
         assert (tok.text, expand) == ("x", False)
 
 
