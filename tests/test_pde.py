@@ -646,20 +646,22 @@ def test_rejecting_every_vector_is_exact(case1, alpha1_opt, draws):
             assert bd.gate_rejected and bd == objective(e, case, data, consts, cfg), e.text
 
 
-def _no_grid(*args, **kwargs):
-    raise AssertionError("the early exit evaluated a grid")
-
-
 @pytest.mark.parametrize("edge", _EXIT_CORPUS)
 @settings(max_examples=150, deadline=None)
 @given(draws=st.data())
 def test_early_exit_cases_are_decided_before_any_grid(alpha1_opt, edge, draws):
     # the property's corpus decides the early exit under both readings and
-    # both thresholds without evaluating a grid; its hand-written exit
-    # candidates reach it under both readings at the default threshold
+    # both thresholds without evaluating a grid; an order error at d/dx
+    # decides it at either threshold, and the hand-written exit candidates
+    # reach it under both readings at the default threshold
     e = _exit_candidate(draws, alpha1_opt, edge)
-    with mock.patch("padesr.pde.eval_grid", _no_grid):
+    with mock.patch("padesr.pde.eval_grid", side_effect=AssertionError("a grid was evaluated")):
         decided = {cfg: ScoringPlan(e, cfg).rejects_every_vector() for cfg in _PLAN_CONFIGS}
+    for cfg in _PLAN_CONFIGS:
+        try:
+            differentiate(e, "x", cfg.ic_derivatives)
+        except DerivativeOrderError:
+            assert decided[cfg], e.text
     if edge in _EARLY_EXIT_CASES:
         assert all(decided[cfg] for cfg in _PLAN_CONFIGS if cfg.threshold > 0), e.text
 

@@ -1,6 +1,7 @@
 """Search algorithms: constant fitting, shared state, determinism, and the
 per-algorithm contracts that can be checked quickly."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from padesr.search import (
     SearchConfig,
     SharedState,
     Swarm,
+    _Worker,
     _crossover,
     _mutate_span,
     fit_constants,
@@ -365,6 +367,35 @@ def test_select_tie_breaks_lowest_index(alpha1):
     for rng in (None, NoDraws(0)):
         tok, expand = select_action("s", legal, action_visits, action_value, 1.4, rng)
         assert (tok.text, expand) == ("x", False)
+
+
+# sha256 over the key of every candidate scored, in order, by seeded 1-worker
+# runs in both notations; recorded while N(s) was still a map of its own
+MCTS_KEY_SEQUENCES = {
+    "mcts": "86d8c26efbee9946e68714d745d859410dadbdaea2ea265a8f9f993f1d314b0e",
+    "cmcts": "ac0170f2d2d125bb3889a40bdca59618efa39a7dd219f7dde767230763ad6d46",
+}
+
+
+@pytest.mark.parametrize("algo", ("mcts", "cmcts"))
+def test_mcts_scores_the_recorded_candidate_sequence(algo, case1, monkeypatch):
+    # the goldens hash a run's best and its improvements; this pins every
+    # UCT choice, so N(s) read from N(s,a) must give each log(N(s)) the same
+    case, data = case1
+    digest = hashlib.sha256()
+    score = _Worker.score
+
+    def recording(w, e):
+        breakdown = score(w, e)
+        digest.update(e.key.encode() + b"\n")
+        return breakdown
+
+    monkeypatch.setattr(_Worker, "score", recording)
+    for notation in (Notation.PREFIX, Notation.POSTFIX):
+        run_search(quick_config(algo, depth=4, notation=notation, time_budget=600.0, seed=7,
+                                max_evals=600, objective=ObjectiveConfig(threshold=0.0)),
+                   case, data)
+    assert digest.hexdigest() == MCTS_KEY_SEQUENCES[algo]
 
 
 # ---------------------------------------------------------------------------
