@@ -5,12 +5,15 @@ for each of x, y, t and the initial-condition feature ``I`` with its
 derivative family up to second order (precomputed analytically from the
 Gaussian profile), flattened x-major (index ``(ix*ny + iy)*nt + it``).
 Literals, named ones included, and learnable constants evaluate by value.
-:func:`eval_grid` combines an expression in one :func:`~padesr.expr.fold`
-stack scan, the walk every other pass over tokens uses.  Domain faults (log
-of a non-positive value, square root of a negative, arcsin/arccos outside
-[-1, 1], division by zero, powers leaving the reals) evaluate to NaN and raise
-the grid's fault flag; candidates are rejected wholesale by the objective
-rather than patched with protected operators.
+:func:`eval_grid` runs an expression's :class:`~padesr.expr.Program`, which
+:func:`~padesr.expr.fold` compiled once per expression: each distinct subtree
+is computed once, each value is dropped after its last use, and a step whose
+operand dies there writes its result over it when that operand was made by an
+earlier step and has the result's shape.  Domain faults (log of a
+non-positive value, square root of a negative, arcsin/arccos outside [-1, 1],
+division by zero, powers leaving the reals) evaluate to NaN and raise the
+grid's fault flag; candidates are rejected wholesale by the objective rather
+than patched with protected operators.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import IC_FAMILY, Expr, Token, TokenKind, fold
+from .expr import IC_FAMILY, LEAF_CONST, LEAF_DATA, Expr, TokenKind
 
 
 class EvalError(ValueError):
@@ -117,21 +120,42 @@ def linspace_axis(lo: float, hi: float, n: int) -> np.ndarray:
 # operator semantics (shared by grid evaluation and constant folding)
 
 
-def _op_log(a):
-    return np.where(a > 0, np.log(a), np.nan)
+# Each kernel writes into ``out`` when given one: an array of the result's
+# shape that the caller owns and no longer reads.  A mask read from an operand
+# is taken before ``out``, which may be that operand, is written.
 
 
-def _op_div(a, b):
-    return np.where(b == 0, np.nan, np.divide(a, b))  # np.divide: 1.0 / 0.0 raises
+def _nan_where(r, mask):
+    """``r`` with NaN where ``mask`` holds, written in place for an array."""
+    if r.ndim:
+        np.copyto(r, np.nan, where=mask)
+        return r
+    return np.nan if mask else r
 
 
-def _op_pow(a, b):
-    r = np.power(a, b)
-    return np.where(np.isfinite(r), r, np.nan)
+def _op_log(a, out=None):
+    bad = np.logical_not(np.greater(a, 0))
+    return _nan_where(np.log(a, out=out), bad)
 
 
-def _op_sech(a):
-    return 2.0 / (np.exp(a) + np.exp(-a))
+def _op_div(a, b, out=None):
+    zero = np.equal(b, 0)
+    return _nan_where(np.divide(a, b, out=out), zero)  # np.divide: 1.0 / 0.0 raises
+
+
+def _op_pow(a, b, out=None):
+    r = np.power(a, b, out=out)
+    return _nan_where(r, np.logical_not(np.isfinite(r)))
+
+
+def _op_sech(a, out=None):
+    e = np.exp(a)  # before ``out`` is written
+    if not e.ndim:
+        return 2.0 / (e + np.exp(-a))
+    r = np.negative(a, out=out)
+    np.exp(r, out=r)
+    np.add(e, r, out=r)
+    return np.divide(2.0, r, out=r)
 
 
 UNARY_FUNCS = {
@@ -172,7 +196,11 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 
 def eval_grid(e: Expr, data: Dataset,
               consts: Optional[Sequence[float] | np.ndarray] = None) -> Grid:
-    """Evaluate over every mesh point of ``data`` in one stack scan.
+    """Evaluate over every mesh point of ``data`` by running ``e.program``.
+
+    Each distinct subtree of ``e`` is computed once, and each value is
+    dropped after its last use; a step writes over a value only when an
+    earlier step made it and it has the step's shape.
 
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
@@ -185,24 +213,33 @@ def eval_grid(e: Expr, data: Dataset,
         if given < e.n_slots:
             raise EvalError(f"missing value for constant slot {given}")
     batched = np.ndim(consts) == 2
-
-    def leaf(tok: Token):
+    if batched:  # a step may write a float result over a value made from a column
+        consts = np.asarray(consts, dtype=np.float64)
+    program = e.program
+    regs: list = [None] * program.size
+    for r, tok in program.leaves:
         kind = tok.kind
         if kind is TokenKind.LITERAL:
-            return tok.value
-        if kind is TokenKind.CONST:
-            if batched:
-                return consts[:, tok.slot:tok.slot + 1]
-            return float(consts[tok.slot])
-        try:
-            return data.leaf[tok.text]
-        except KeyError:
-            raise EvalError(f"dataset has no grid for leaf {tok.text!r}") from None
-
+            regs[r] = tok.value
+        elif kind is TokenKind.CONST:
+            regs[r] = consts[:, tok.slot:tok.slot + 1] if batched else float(consts[tok.slot])
+        else:
+            try:
+                regs[r] = data.leaf[tok.text]
+            except KeyError:
+                raise EvalError(f"dataset has no grid for leaf {tok.text!r}") from None
+    arrays = LEAF_DATA | LEAF_CONST if batched else LEAF_DATA  # masks of array values
     with np.errstate(all="ignore"):
-        values = fold(e.tokens, e.notation, leaf,
-                      lambda tok, a: UNARY_FUNCS[tok.text](a),
-                      lambda tok, a, b: BINARY_FUNCS[tok.text](a, b))
+        for text, a, b, r, reuse, mask, dying in program.steps:
+            out = regs[reuse] if reuse >= 0 and mask & arrays else None
+            if b < 0:
+                v = UNARY_FUNCS[text](regs[a], out=out)
+            else:
+                v = BINARY_FUNCS[text](regs[a], regs[b], out=out)
+            for u in dying:
+                regs[u] = None
+            regs[r] = v
+    values = regs[program.result]
     if batched and e.n_slots:
         values = np.broadcast_to(values, (len(consts), data.n))  # ``C C -`` is a column
         return Grid(values, ~np.isfinite(values).all(axis=-1))

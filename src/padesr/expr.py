@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 
 T = TypeVar("T")
@@ -77,6 +77,9 @@ class Token:
     @cached_property
     def arity(self) -> int:
         return _ARITY[self.kind]
+
+    def __hash__(self) -> int:  # equal tokens have equal text
+        return hash(self.text)
 
     def __repr__(self) -> str:  # keep failure output readable
         return f"Token({self.text!r})"
@@ -228,6 +231,92 @@ def sequence_depth(tokens: Sequence[Token], notation: Notation) -> int:
                 lambda tok, a, b: max(a, b) + 1)
 
 
+# A register's mask: the kinds of leaf its value depends on, plus COMPUTED
+# when a step, not a leaf, makes it.
+LEAF_CONST = 1
+LEAF_DATA = 2
+COMPUTED = 4
+_LEAF_MASK = {TokenKind.LITERAL: 0, TokenKind.CONST: LEAF_CONST,
+              TokenKind.VARIABLE: LEAF_DATA, TokenKind.IC: LEAF_DATA}
+
+
+class Program(NamedTuple):
+    """An expression as a straight-line program over its distinct subtrees.
+
+    Every distinct leaf and every distinct (operator, operand registers) node
+    is one register, so a subtree repeated in the tokens is computed once.
+    ``leaves`` lists ``(register, token)``.  ``steps`` lists, operands
+    first, ``(operator text, a, b, register, reuse, mask, dying)``: ``b`` is
+    -1 for a unary operator; ``dying`` holds the operand registers made by
+    earlier steps that no later step reads; ``reuse`` is the first of them
+    with the step's mask, else -1.  Values with one mask have one shape, so
+    the step may write its result over ``reuse``.
+    """
+
+    size: int
+    leaves: tuple[tuple[int, Token], ...]
+    steps: tuple[tuple[str, int, int, int, int, int, tuple[int, ...]], ...]
+    result: int
+
+
+def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
+    """Intern every subtree of a complete expression in one :func:`fold`,
+    then find each register's last reader in one backward pass."""
+    ids: dict = {}
+    masks: list[int] = []
+    leaves: list[tuple[int, Token]] = []
+    nodes: list[tuple[str, int, int, int]] = []
+
+    def leaf(tok: Token) -> int:
+        r = ids.get(tok)
+        if r is None:
+            r = ids[tok] = len(masks)
+            masks.append(_LEAF_MASK[tok.kind])
+            leaves.append((r, tok))
+        return r
+
+    def unary(tok: Token, a: int) -> int:
+        key = (tok.text, a)
+        r = ids.get(key)
+        if r is None:
+            r = ids[key] = len(masks)
+            masks.append(masks[a] | COMPUTED)
+            nodes.append((tok.text, a, -1, r))
+        return r
+
+    def binary(tok: Token, a: int, b: int) -> int:
+        key = (tok.text, a, b)
+        r = ids.get(key)
+        if r is None:
+            r = ids[key] = len(masks)
+            masks.append(masks[a] | masks[b] | COMPUTED)
+            nodes.append((tok.text, a, b, r))
+        return r
+
+    result = fold(tokens, notation, leaf, unary, binary)
+    read = [False] * len(masks)  # read by a step after the one being placed
+    steps = []
+    for text, a, b, r in reversed(nodes):
+        mask = masks[r]
+        dying: tuple[int, ...] = ()
+        reuse = -1
+        if not read[a]:
+            read[a] = True
+            if masks[a] & COMPUTED:
+                dying = (a,)
+                if masks[a] == mask:
+                    reuse = a
+        if b >= 0 and not read[b]:
+            read[b] = True
+            if masks[b] & COMPUTED:
+                dying += (b,)
+                if reuse < 0 and masks[b] == mask:
+                    reuse = b
+        steps.append((text, a, b, r, reuse, mask, dying))
+    steps.reverse()
+    return Program(len(masks), tuple(leaves), tuple(steps), result)
+
+
 @dataclass(frozen=True)
 class Expr:
     """Flat token sequence plus notation tag."""
@@ -238,6 +327,10 @@ class Expr:
     @cached_property
     def depth(self) -> int:
         return sequence_depth(self.tokens, self.notation)
+
+    @cached_property
+    def program(self) -> Program:
+        return compile_program(self.tokens, self.notation)
 
     @cached_property
     def key(self) -> str:

@@ -15,9 +15,9 @@ holds what scoring one expression needs that no constant vector changes: the
 derivatives, taken as the gate reaches them, and the grids of derivatives
 without a learnable constant.  Fitting constants scores every candidate vector
 against one plan, so an expression is differentiated once per fit, and
-:meth:`ScoringPlan.totals` scores a batch of vectors in one scan per grid: a
-``C`` reads a column of the batch, each term is reduced per row, and every
-row's total has the bits :meth:`ScoringPlan.score` gives that vector.
+:meth:`ScoringPlan.totals` scores a batch of vectors in one evaluation per
+grid: a ``C`` reads a column of the batch, each term is reduced per row, and
+every row's total has the bits :meth:`ScoringPlan.score` gives that vector.
 :meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit,
 from the derivatives alone: a first derivative that is the literal ``0`` at a
 positive threshold, or an order error.  ``threshold`` is 0 or more; a NaN one
@@ -221,8 +221,8 @@ def _mean_square(values: np.ndarray):
 
 
 # A batch of constant vectors is scored max(1, BATCH_ELEMENTS // data.n) rows
-# at a time on an n-point mesh.  This bounds every array of a batch, the ones
-# a fold of a long derivative keeps alive in each worker thread included.
+# at a time on an n-point mesh.  This bounds every array of a batch, the
+# values an expression's program keeps live in each worker thread included.
 BATCH_ELEMENTS = 8192
 
 

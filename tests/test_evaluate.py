@@ -1,12 +1,18 @@
-"""Evaluation semantics: vectorized stack machine, faults, point/grid parity."""
+"""Evaluation semantics: the compiled program, faults, point/grid parity."""
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padesr.evaluate import EvalError, GaussianIc, build_dataset, eval_grid
-from padesr.expr import IC_FAMILY, Notation, convert_notation, parse, sample_complete
+from padesr.evaluate import (
+    BINARY_FUNCS, UNARY_FUNCS, EvalError, GaussianIc, build_dataset, eval_grid)
+from padesr.expr import IC_FAMILY, Notation, convert_notation, fold, parse, sample_complete
+from padesr.pde import TOKEN_MODES, ObjectiveConfig, ScoringPlan, build_case, case_alphabet
+from padesr.symdiff import DerivativeOrderError, differentiate
 
 NOTATIONS = (Notation.PREFIX, Notation.POSTFIX)
 
@@ -123,6 +129,16 @@ def test_constant_matrix_rows_equal_one_vector_calls(case1, alpha1_opt, rng):
                 assert batch.fault[row] == one.fault
 
 
+def test_integer_constant_matrix_evaluates_as_floats(case1, alpha1_opt):
+    # ``C C +`` is made from the columns, and the ``+ 0.5`` step writes its
+    # float result over it
+    _, data = case1
+    e = parse("C C + 0.5 + x *", Notation.POSTFIX, alpha1_opt, mode="free")
+    ints = np.array([[1, 2], [-3, 4]])
+    got = eval_grid(e, data, ints).values
+    assert got.tobytes() == eval_grid(e, data, ints.astype(np.float64)).values.tobytes()
+
+
 def test_constant_matrix_with_too_few_columns_raises(case1, alpha1_opt):
     _, data = case1
     e = parse("C x * C +", Notation.POSTFIX, alpha1_opt)
@@ -209,3 +225,125 @@ def test_ic_derivative_grids_analytic(case1):
     assert np.allclose(data.leaf["I_x"], -2 * (x - 1.1) * ival)
     assert np.allclose(data.leaf["I_xy"], 4 * (x - 1.1) * y * ival)
     assert np.allclose(data.leaf["I_yy"], (4 * y * y - 2) * ival)
+
+
+# ---------------------------------------------------------------------------
+# the compiled program: each distinct subtree once, writing only what it owns
+
+_CONSTS = st.one_of(st.floats(-20.0, 20.0), st.sampled_from((0.0, 1.0, -1.0, 1e300, -1e300)))
+
+
+def _with_ic_family(alphabet):
+    """``alphabet`` plus the ``I_x`` family, which only free mode parses."""
+    return dataclasses.replace(alphabet, variables=alphabet.variables + IC_FAMILY[1:])
+
+
+def assert_same_grid(got, want):
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.fault, want.fault)
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=st.data())
+def test_program_equals_one_fold_scan(case1, draws):
+    # bit for bit, values and fault flags, on T and on the x, xx and yy
+    # derivatives, whose chain and product rules repeat T's subtrees
+    from fold_oracle import eval_grid_oracle
+
+    case, data = case1
+    notation = draws.draw(st.sampled_from(NOTATIONS))
+    alphabet = case_alphabet(case, draws.draw(st.sampled_from(tuple(TOKEN_MODES))))
+    if draws.draw(st.booleans()):
+        alphabet = _with_ic_family(alphabet)
+    e = sample_complete(random.Random(draws.draw(st.integers(0, 2**32 - 1))), notation,
+                        draws.draw(st.integers(0, 5)), alphabet)
+    k = e.n_slots
+    vector = draws.draw(st.lists(_CONSTS, min_size=k, max_size=k))
+    matrix = np.array(draws.draw(st.lists(st.lists(_CONSTS, min_size=k, max_size=k),
+                                          min_size=1, max_size=4)), dtype=np.float64)
+    matrix = matrix.reshape(len(matrix), k)
+    exprs = [e]
+    for name in ("x", "xx", "yy"):
+        try:
+            d = differentiate(e, name[0])
+            exprs.append(d if len(name) == 1 else differentiate(d, name[0]))
+        except DerivativeOrderError:
+            pass
+    for target in exprs:
+        for grid_data in (data, case.planes[("y", "lo")]):
+            for consts in ((vector, matrix) if k else (None, matrix)):
+                assert_same_grid(eval_grid(target, grid_data, consts),
+                                 eval_grid_oracle(target, grid_data, consts))
+
+
+def _leaf_grids(case, data):
+    grids = [case.ux_grid, case.uy_grid]
+    for dataset in (data, case.ic_plane, *case.planes.values()):
+        grids.extend(dataset.leaf.values())
+    return grids
+
+
+def test_program_writes_only_values_it_made(alpha1_opt):
+    # a step writes over an operand only when an earlier step made it: the
+    # mesh and plane grids, the velocity grids, the caller's constants and
+    # the grids a plan keeps all come out with their bits unchanged
+    case, data = build_case("case1", (10, 10, 10))
+    leaves = _leaf_grids(case, data)
+    before = [grid.tobytes() for grid in leaves]
+    matrix = np.array([[0.5, -2.0], [3.0, 0.25], [-1.0, 4.0]])
+    kept_matrix = matrix.tobytes()
+
+    def parsed(text):
+        return parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
+
+    for text in ("x sin", "x x *", "x sin x sin *"):
+        eval_grid(parsed(text), data)
+    batched = eval_grid(parsed("C tanh y +"), data, matrix)
+    assert batched.values.shape == (3, data.n)
+    e = parsed("x y * t * sin C x * +")
+    plan = ScoringPlan(e, ObjectiveConfig(threshold=0.0))
+    first = plan.score(case, data, matrix[0])
+    totals = plan.totals(case, data, matrix)
+    kept = [(key, grid.values.tobytes()) for key, (_, grid) in plan._grids.items()]
+    assert ("t", id(data)) in plan._grids  # dT/dt has no C, so its grid is kept
+    assert plan.totals(case, data, matrix).tobytes() == totals.tobytes()
+    assert plan.score(case, data, matrix[0]) == first
+    assert np.isfinite(totals).all()
+    assert [(key, grid.values.tobytes()) for key, (_, grid) in plan._grids.items()] == kept
+    assert matrix.tobytes() == kept_matrix
+    assert [grid.tobytes() for grid in leaves] == before
+
+
+def _distinct_operator_subtrees(e):
+    seen = set()
+
+    def node(*key):
+        seen.add(key)
+        return key
+
+    fold(e.tokens, e.notation, lambda tok: tok, node, node)
+    return len(seen)
+
+
+def test_each_distinct_subtree_is_computed_once(case1, alpha1, monkeypatch):
+    _, data = case1
+    calls = []
+
+    def counted(table):
+        for op, func in list(table.items()):
+            def count(*args, _op=op, _func=func, **kwargs):
+                calls.append(_op)
+                return _func(*args, **kwargs)
+            monkeypatch.setitem(table, op, count)
+
+    counted(UNARY_FUNCS)
+    counted(BINARY_FUNCS)
+    eval_grid(parse("x sin x sin *", Notation.POSTFIX, alpha1), data)
+    assert calls == ["sin", "*"]
+    T = parse("x I x t I ^ / / /", Notation.POSTFIX, alpha1, mode="free")
+    for e in (differentiate(T, "x"), differentiate(differentiate(T, "x"), "x")):
+        calls.clear()
+        eval_grid(e, data)
+        operators = sum(1 for tok in e.tokens if tok.arity)
+        assert len(calls) == _distinct_operator_subtrees(e) < operators
