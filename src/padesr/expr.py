@@ -250,18 +250,29 @@ class Program(NamedTuple):
     -1 for a unary operator; ``dying`` holds the operand registers made by
     earlier steps that no later step reads; ``reuse`` is the first of them
     with the step's mask, else -1.  Values with one mask have one shape, so
-    the step may write its result over ``reuse``.
+    the step may write its result over ``reuse``.  ``peak`` is the most
+    values that depend on a data leaf the program holds at once, a step's
+    operands and result included.
     """
 
     size: int
     leaves: tuple[tuple[int, Token], ...]
     steps: tuple[tuple[str, int, int, int, int, int, tuple[int, ...]], ...]
     result: int
+    peak: int
 
 
-def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
+def compile_program(tokens: Sequence[Token], notation: Notation,
+                    share: bool = True) -> Program:
     """Intern every subtree of a complete expression in one :func:`fold`,
-    then find each register's last reader in one backward pass."""
+    then find each register's last reader in one backward pass.
+
+    A shared value stays live from its first use to its last, so sharing
+    can hold more values at once than a scan that computes each subtree
+    where it stands.  With ``share=False`` a repeated subtree is computed
+    again at each use, and the program holds no more values at once than
+    the scan's stack holds entries.
+    """
     ids: dict = {}
     masks: list[int] = []
     leaves: list[tuple[int, Token]] = []
@@ -276,7 +287,7 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
         return r
 
     def unary(tok: Token, a: int) -> int:
-        key = (tok.text, a)
+        key = (tok.text, a) if share else len(masks)
         r = ids.get(key)
         if r is None:
             r = ids[key] = len(masks)
@@ -285,7 +296,7 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
         return r
 
     def binary(tok: Token, a: int, b: int) -> int:
-        key = (tok.text, a, b)
+        key = (tok.text, a, b) if share else len(masks)
         r = ids.get(key)
         if r is None:
             r = ids[key] = len(masks)
@@ -295,6 +306,8 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
 
     result = fold(tokens, notation, leaf, unary, binary)
     read = [False] * len(masks)  # read by a step after the one being placed
+    made = LEAF_DATA | COMPUTED  # a value a step makes from a data leaf
+    live = peak = 1 if masks[result] & made == made else 0  # such values live
     steps = []
     for text, a, b, r in reversed(nodes):
         mask = masks[r]
@@ -312,9 +325,16 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
                 dying += (b,)
                 if reuse < 0 and masks[b] == mask:
                     reuse = b
+        if mask & LEAF_DATA:
+            for u in dying:
+                if masks[u] & LEAF_DATA:
+                    live += 1
+            live -= 1
+            if live + (reuse < 0) > peak:
+                peak = live + (reuse < 0)
         steps.append((text, a, b, r, reuse, mask, dying))
     steps.reverse()
-    return Program(len(masks), tuple(leaves), tuple(steps), result)
+    return Program(len(masks), tuple(leaves), tuple(steps), result, peak)
 
 
 @dataclass(frozen=True)
@@ -331,6 +351,10 @@ class Expr:
     @cached_property
     def program(self) -> Program:
         return compile_program(self.tokens, self.notation)
+
+    @cached_property
+    def unshared_program(self) -> Program:
+        return compile_program(self.tokens, self.notation, share=False)
 
     @cached_property
     def key(self) -> str:

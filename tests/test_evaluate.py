@@ -3,11 +3,13 @@
 import dataclasses
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padesr import evaluate
 from padesr.evaluate import (
     BINARY_FUNCS, UNARY_FUNCS, EvalError, GaussianIc, build_dataset, eval_grid)
 from padesr.expr import IC_FAMILY, Notation, convert_notation, fold, parse, sample_complete
@@ -347,3 +349,66 @@ def test_each_distinct_subtree_is_computed_once(case1, alpha1, monkeypatch):
         eval_grid(e, data)
         operators = sum(1 for tok in e.tokens if tok.arity)
         assert len(calls) == _distinct_operator_subtrees(e) < operators
+
+
+def _scan_stack_peak(e):
+    size = peak = 0
+    for tok in (e.tokens if e.notation is Notation.POSTFIX else reversed(e.tokens)):
+        size += 1 - tok.arity
+        peak = max(peak, size)
+    return peak
+
+
+def test_sharing_holds_no_more_than_its_allowance_beyond_the_scan(case2, alpha1_opt,
+                                                                  monkeypatch, rng):
+    # a shared value stays live from its first use to its last; where that
+    # would hold more than the allowance beyond the unshared program, which
+    # holds no more values at once than the one-scan stack holds entries,
+    # eval_grid runs the unshared program
+    _, data = case2
+    made = []  # a weak reference to every array a kernel returned
+    seen = {"calls": 0, "peak": 0}
+
+    def tracked(table):
+        for op, func in list(table.items()):
+            def track(*args, _func=func, **kwargs):
+                result = _func(*args, **kwargs)
+                made.append(weakref.ref(result) if np.ndim(result) else lambda: None)
+                alive = {id(ref()) for ref in made if ref() is not None}
+                seen["calls"] += 1
+                seen["peak"] = max(seen["peak"], len(alive))
+                return result
+            monkeypatch.setitem(table, op, track)
+
+    def run(e, grid_data=data):
+        made.clear()
+        seen.update(calls=0, peak=0)
+        eval_grid(e, grid_data, [0.5] * e.n_slots)
+        return seen["calls"], seen["peak"]
+
+    tracked(UNARY_FUNCS)
+    tracked(BINARY_FUNCS)
+    T = parse("I y_max exp x acos / ^", Notation.POSTFIX, alpha1_opt)
+    xx = differentiate(differentiate(T, "x"), "x")
+    operators = sum(1 for tok in xx.tokens if tok.arity)
+    assert xx.program.peak - xx.unshared_program.peak == 6
+    # 6 more values of 1,000 elements are within the allowance, of 125,000 past it
+    assert run(xx)[0] == _distinct_operator_subtrees(xx) < operators
+    big = build_dataset(data.xs[:5], data.ys[:5], np.linspace(0.1, 20.0, 5000), GaussianIc(1, 1))
+    assert big.n == 125_000 and run(xx, big)[0] == operators
+    derived = [xx]
+    while len(derived) < 60:
+        e = sample_complete(rng, Notation.POSTFIX, 4, alpha1_opt)
+        for var in "xy":
+            try:
+                derived.append(differentiate(differentiate(e, var), var))
+            except DerivativeOrderError:
+                pass
+    for d in derived:
+        # ``peak`` is what each program really holds
+        monkeypatch.setattr(evaluate, "SHARING_EXCESS_ELEMENTS", math.inf)
+        assert run(d)[1] == d.program.peak, d
+        monkeypatch.setattr(evaluate, "SHARING_EXCESS_ELEMENTS", 0)
+        assert run(d)[1] == min(d.program.peak, d.unshared_program.peak), d
+        assert d.unshared_program.peak <= _scan_stack_peak(d), d
+    assert run(xx)[0] == operators
