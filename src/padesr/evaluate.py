@@ -227,7 +227,7 @@ def eval_grid(e: Expr, data: Dataset,
     if batched:  # a step may write a float result over a value made from a column
         consts = np.asarray(consts, dtype=np.float64)
     program = e.program
-    size = data.n * len(consts) if batched else data.n  # of the largest values
+    size = data.n * len(consts) if batched else data.n  # elements of the largest value
     if program.peak * size > SHARING_EXCESS_ELEMENTS:
         unshared = e.unshared_program
         if (program.peak - unshared.peak) * size > SHARING_EXCESS_ELEMENTS:

@@ -306,8 +306,8 @@ def compile_program(tokens: Sequence[Token], notation: Notation,
 
     result = fold(tokens, notation, leaf, unary, binary)
     read = [False] * len(masks)  # read by a step after the one being placed
-    made = LEAF_DATA | COMPUTED  # a value a step makes from a data leaf
-    live = peak = 1 if masks[result] & made == made else 0  # such values live
+    made = LEAF_DATA | COMPUTED  # the mask bits of a value a step makes from data
+    live = peak = 1 if masks[result] & made == made else 0  # live before the step placed
     steps = []
     for text, a, b, r in reversed(nodes):
         mask = masks[r]
