@@ -9,11 +9,14 @@ Literals, named ones included, and learnable constants evaluate by value.
 :func:`~padesr.expr.fold` compiled once per expression: each distinct subtree
 is computed once, each value is dropped after its last use, and a step whose
 operand dies there writes its result over it when that operand was made by an
-earlier step and has the result's shape.  Domain faults (log of a
-non-positive value, square root of a negative, arcsin/arccos outside [-1, 1],
-division by zero, powers leaving the reals) evaluate to NaN and raise the
-grid's fault flag; candidates are rejected wholesale by the objective rather
-than patched with protected operators.
+earlier step and has the result's shape.  It runs over slices of at most
+``BLOCK`` mesh points, so no value is larger than one slice.  Domain faults
+(log of a non-positive value, square root of a negative, arcsin/arccos
+outside [-1, 1], division by zero, powers leaving the reals) evaluate to NaN
+and raise the grid's fault flag; candidates are rejected wholesale by the
+objective rather than patched with protected operators.  So a grid stops at
+the end of the slice where it faults (where its last row does, for a
+constant matrix) and holds NaN after it: no score reads past a fault.
 """
 
 from __future__ import annotations
@@ -66,7 +69,12 @@ class GaussianIc:
 
 @dataclass(frozen=True)
 class Grid:
-    """Flat value grid plus a flag recording whether any entry is non-finite."""
+    """Flat value grid plus a flag recording whether any entry is non-finite.
+
+    A faulting grid of more than ``BLOCK`` points may hold NaN after the
+    slice where it first faults; the flag is exact, and no score reads a
+    faulting row's values past it (see :func:`eval_grid`).
+    """
 
     values: np.ndarray
     fault: bool
@@ -193,31 +201,35 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Sharing may hold values of at most this many elements at once beyond what
-# the expression's unshared program holds: 1 MiB of float64.  Past it,
-# eval_grid runs the unshared program, which computes a repeated subtree again
-# at each use.  On a 10^3 mesh no program passes it; at 50^3 one holding 2
-# more values does.  Over 720 sampled candidates of depths 2, 5 and 8 and
-# their x, y, t, xx and yy derivatives, sharing held up to 55 more values
-# than the unshared program.
-SHARING_EXCESS_ELEMENTS = 1 << 17
+# eval_grid runs a program over slices of at most this many mesh points: 128
+# KiB of float64 per value, which the heap reuses, where whole-grid values at
+# 50^3 took new pages (670k minor faults in three fine-mesh rounds).  32,768
+# points brought page faults back, and 8,192 ran slower.
+BLOCK = 1 << 14
 
 
 def eval_grid(e: Expr, data: Dataset,
               consts: Optional[Sequence[float] | np.ndarray] = None) -> Grid:
     """Evaluate over every mesh point of ``data`` by running ``e.program``.
 
-    Each distinct subtree of ``e`` is computed once, unless that would hold
-    more than ``SHARING_EXCESS_ELEMENTS`` elements at once beyond what
-    ``e.unshared_program`` holds; then each is computed where it stands.
-    Each value is dropped after its last use, and a step writes over a value
-    only when an earlier step made it and it has the step's shape.
+    Each distinct subtree of ``e`` is computed once, each value is dropped
+    after its last use, and a step writes over a value only when an earlier
+    step made it and it has the step's shape.  The program runs over slices
+    of at most ``BLOCK`` points, one after another, and each slice's result
+    is written into the grid; a grid of at most ``BLOCK`` points is one slice
+    and returns the program's result as it is.
 
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
     a ``C`` gives an ``(m, n)`` grid and one fault flag per row; one without
     gives the usual ``n`` values.  Too few constants for ``e``'s slots raise
     :class:`EvalError` before any arithmetic.
+
+    Once every row has faulted, the slices left are not computed and hold
+    NaN, so a faulting grid of more than ``BLOCK`` points is exact through
+    the slice where its last row first faults; the fault flags are exact.
+    No score reads past a fault: the gate rejects a faulting row, and the
+    residual, boundary and initial terms are infinite where it has one.
     """
     if e.n_slots:
         given = 0 if consts is None else np.shape(consts)[-1]
@@ -227,12 +239,8 @@ def eval_grid(e: Expr, data: Dataset,
     if batched:  # a step may write a float result over a value made from a column
         consts = np.asarray(consts, dtype=np.float64)
     program = e.program
-    size = data.n * len(consts) if batched else data.n  # elements of the largest value
-    if program.peak * size > SHARING_EXCESS_ELEMENTS:
-        unshared = e.unshared_program
-        if (program.peak - unshared.peak) * size > SHARING_EXCESS_ELEMENTS:
-            program = unshared
     regs: list = [None] * program.size
+    grids = []  # (register, grid) of each data leaf
     for r, tok in program.leaves:
         kind = tok.kind
         if kind is TokenKind.LITERAL:
@@ -244,7 +252,36 @@ def eval_grid(e: Expr, data: Dataset,
                 regs[r] = data.leaf[tok.text]
             except KeyError:
                 raise EvalError(f"dataset has no grid for leaf {tok.text!r}") from None
+            grids.append((r, regs[r]))
     arrays = LEAF_DATA | LEAF_CONST if batched else LEAF_DATA  # masks of array values
+    rows = len(consts) if batched and e.n_slots else 0  # rows of an (m, n) grid
+    n = data.n
+    if n <= BLOCK or not grids:
+        values = _run(program, regs, arrays)
+        if rows:
+            values = np.broadcast_to(values, (rows, n))  # ``C C -`` is a column
+        elif np.ndim(values) == 0:
+            values = np.full(n, float(values))
+        fault = ~np.isfinite(values).all(axis=-1)
+    else:
+        values = np.empty((rows, n) if rows else n)
+        fault = np.zeros(rows, dtype=bool) if rows else np.False_
+        for lo in range(0, n, BLOCK):
+            hi = lo + BLOCK
+            for r, grid in grids:
+                regs[r] = grid[lo:hi]
+            block = values[..., lo:hi]
+            block[...] = _run(program, regs, arrays)
+            regs[program.result] = None  # its slice is in the grid
+            fault = fault | ~np.isfinite(block).all(axis=-1)
+            if fault.all():  # every row has faulted
+                values[..., hi:] = np.nan
+                break
+    return Grid(values, fault if rows else bool(fault))
+
+
+def _run(program, regs: list, arrays: int):
+    """Run ``program``'s steps over the values in ``regs``; its result."""
     with np.errstate(all="ignore"):
         for text, a, b, r, reuse, mask, dying in program.steps:
             out = regs[reuse] if reuse >= 0 and mask & arrays else None
@@ -255,10 +292,4 @@ def eval_grid(e: Expr, data: Dataset,
             for u in dying:
                 regs[u] = None
             regs[r] = v
-    values = regs[program.result]
-    if batched and e.n_slots:
-        values = np.broadcast_to(values, (len(consts), data.n))  # ``C C -`` is a column
-        return Grid(values, ~np.isfinite(values).all(axis=-1))
-    if np.ndim(values) == 0:
-        values = np.full(data.n, float(values))
-    return Grid(values, not bool(np.isfinite(values).all()))
+    return regs[program.result]

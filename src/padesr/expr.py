@@ -262,16 +262,13 @@ class Program(NamedTuple):
     peak: int
 
 
-def compile_program(tokens: Sequence[Token], notation: Notation,
-                    share: bool = True) -> Program:
+def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
     """Intern every subtree of a complete expression in one :func:`fold`,
     then find each register's last reader in one backward pass.
 
     A shared value stays live from its first use to its last, so sharing
     can hold more values at once than a scan that computes each subtree
-    where it stands.  With ``share=False`` a repeated subtree is computed
-    again at each use, and the program holds no more values at once than
-    the scan's stack holds entries.
+    where it stands.
     """
     ids: dict = {}
     masks: list[int] = []
@@ -287,7 +284,7 @@ def compile_program(tokens: Sequence[Token], notation: Notation,
         return r
 
     def unary(tok: Token, a: int) -> int:
-        key = (tok.text, a) if share else len(masks)
+        key = (tok.text, a)
         r = ids.get(key)
         if r is None:
             r = ids[key] = len(masks)
@@ -296,7 +293,7 @@ def compile_program(tokens: Sequence[Token], notation: Notation,
         return r
 
     def binary(tok: Token, a: int, b: int) -> int:
-        key = (tok.text, a, b) if share else len(masks)
+        key = (tok.text, a, b)
         r = ids.get(key)
         if r is None:
             r = ids[key] = len(masks)
@@ -351,10 +348,6 @@ class Expr:
     @cached_property
     def program(self) -> Program:
         return compile_program(self.tokens, self.notation)
-
-    @cached_property
-    def unshared_program(self) -> Program:
-        return compile_program(self.tokens, self.notation, share=False)
 
     @cached_property
     def key(self) -> str:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from padesr import evaluate
 from padesr.expr import (
     BINARY_TOKENS,
     Alphabet,
@@ -33,6 +34,25 @@ def alpha1(case1):
 def alpha1_opt(case1):
     case, _ = case1
     return case_alphabet(case, "vars+const+opt")
+
+
+@pytest.fixture(scope="session")
+def small_block():
+    """A block of a few dozen points: every 10^3 mesh and plane runs as
+    several blocks, the last one partial, so the multi-block path and the
+    stop at a grid's first faulting block both run."""
+    return 37
+
+
+@pytest.fixture()
+def block_sizes(monkeypatch, small_block):
+    """``eval_grid``'s block size, then ``small_block``, each patched into
+    :mod:`padesr.evaluate` as a loop over them reaches it."""
+    def sizes():
+        for size in (evaluate.BLOCK, small_block):
+            monkeypatch.setattr(evaluate, "BLOCK", size)
+            yield size
+    return sizes()
 
 
 @pytest.fixture()

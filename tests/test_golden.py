@@ -96,6 +96,9 @@ def test_golden_trajectory_long(algo, case1):
     assert trajectory_digest(algo, case, data, **LONG) == GOLDEN_LONG[algo]
 
 
-def test_golden_trajectory_constants(case1):
+def test_golden_trajectory_constants(case1, block_sizes):
+    # also where every grid runs as several blocks and stops at its first
+    # faulting one, which no score may see
     case, data = case1
-    assert trajectory_digest("sa", case, data, **CONSTANTS) == GOLDEN_CONSTANTS_SA
+    for _ in block_sizes:
+        assert trajectory_digest("sa", case, data, **CONSTANTS) == GOLDEN_CONSTANTS_SA

@@ -387,19 +387,22 @@ def test_prefix_postfix_objective_agreement(case1, alpha1, rng):
 DEFAULT_OBJECTIVE_DIGEST = "db588eea1cc9926359a7bc3d58068203031711e0bbd6995537c5596552854724"
 
 
-def test_default_reading_is_analytic_and_unchanged(case1, alpha1):
+def test_default_reading_is_analytic_and_unchanged(case1, alpha1, block_sizes):
+    # under either block size: a grid stopped at its first faulting block
+    # changes no gate decision and no total
     case, data = case1
     assert ObjectiveConfig().ic_derivatives == "analytic"
     with pytest.raises(ValueError):
         ObjectiveConfig(ic_derivatives="bogus")
-    rng = random.Random(2718)
-    digest = hashlib.sha256()
-    for i in range(200):
-        e = sample_complete(rng, (Notation.PREFIX, Notation.POSTFIX)[i % 2], 4, alpha1)
-        for cfg in (ObjectiveConfig(), ObjectiveConfig(threshold=0.0)):
-            bd = objective(e, case, data, config=cfg)
-            digest.update(f"{e.text}|{bd.gate_rejected}|{bd.total:.9g}\n".encode())
-    assert digest.hexdigest() == DEFAULT_OBJECTIVE_DIGEST
+    for _ in block_sizes:
+        rng = random.Random(2718)
+        digest = hashlib.sha256()
+        for i in range(200):
+            e = sample_complete(rng, (Notation.PREFIX, Notation.POSTFIX)[i % 2], 4, alpha1)
+            for cfg in (ObjectiveConfig(), ObjectiveConfig(threshold=0.0)):
+                bd = objective(e, case, data, config=cfg)
+                digest.update(f"{e.text}|{bd.gate_rejected}|{bd.total:.9g}\n".encode())
+        assert digest.hexdigest() == DEFAULT_OBJECTIVE_DIGEST
 
 
 def test_data_reading_gate_rejects_ic_alone(case1, alpha1):

@@ -235,9 +235,12 @@ def fit_corpus(alphabet, count):
     return corpus
 
 
-def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatch):
+def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatch,
+                                                  block_sizes):
     # the oracle scores one particle at a time; the fit scores the rest of a
-    # pass per call and moves again past the first particle improving gbest
+    # pass per call and moves again past the first particle improving gbest;
+    # under the small block size every grid runs as several blocks, and a
+    # row that faults early does not stop the rows still in play
     case, data = case1
     calls = []
     totals = ScoringPlan.totals
@@ -247,19 +250,20 @@ def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatc
         return totals(plan, *args)
 
     monkeypatch.setattr(ScoringPlan, "totals", counting)
-    replanned = decided_by_gate = 0
-    for e, cfg in fit_corpus(alpha1_opt, 240):
-        want, mid_pass = fit_constants_oracle(e, case, data, cfg)
-        calls.append(0)
-        assert fit_constants(e, case, data, SharedState(), cfg) == want, e
-        if ScoringPlan(e, cfg.objective).rejects_every_vector():
-            assert calls[-1] == 0 and mid_pass == 0
-            decided_by_gate += 1
-        else:
-            # one call per pass, and one more after each mid-pass improvement
-            assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
-            replanned += mid_pass > 0
-    assert replanned >= 20 and decided_by_gate == 157
+    for _ in block_sizes:
+        replanned = decided_by_gate = 0
+        for e, cfg in fit_corpus(alpha1_opt, 240):
+            want, mid_pass = fit_constants_oracle(e, case, data, cfg)
+            calls.append(0)
+            assert fit_constants(e, case, data, SharedState(), cfg) == want, e
+            if ScoringPlan(e, cfg.objective).rejects_every_vector():
+                assert calls[-1] == 0 and mid_pass == 0
+                decided_by_gate += 1
+            else:
+                # one call per pass, and one more after each mid-pass improvement
+                assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
+                replanned += mid_pass > 0
+        assert replanned >= 20 and decided_by_gate == 157
 
 
 @pytest.mark.parametrize("mesh", [(10, 10, 10), (20, 20, 20), (5, 5, 4)])
