@@ -201,10 +201,10 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# eval_grid runs a program over slices of at most this many mesh points: 128
-# KiB of float64 per value, which the heap reuses, where whole-grid values at
-# 50^3 took new pages (670k minor faults in three fine-mesh rounds).  32,768
-# points brought page faults back, and 8,192 ran slower.
+# eval_grid runs a program over slices of at most this many mesh points, so a
+# value is at most 128 KiB of float64 and the values a program holds stay in
+# cache, where a whole 50^3 grid is 1 MB per value.  Slices of 8,192 and of
+# 32,768 points ran no faster on fine-mesh.
 BLOCK = 1 << 14
 
 
@@ -260,23 +260,23 @@ def eval_grid(e: Expr, data: Dataset,
         values = _run(program, regs, arrays)
         if rows:
             values = np.broadcast_to(values, (rows, n))  # ``C C -`` is a column
-        elif np.ndim(values) == 0:
+            return Grid(values, ~np.isfinite(values).all(axis=-1))
+        if np.ndim(values) == 0:
             values = np.full(n, float(values))
-        fault = ~np.isfinite(values).all(axis=-1)
-    else:
-        values = np.empty((rows, n) if rows else n)
-        fault = np.zeros(rows, dtype=bool) if rows else np.False_
-        for lo in range(0, n, BLOCK):
-            hi = lo + BLOCK
-            for r, grid in grids:
-                regs[r] = grid[lo:hi]
-            block = values[..., lo:hi]
-            block[...] = _run(program, regs, arrays)
-            regs[program.result] = None  # its slice is in the grid
-            fault = fault | ~np.isfinite(block).all(axis=-1)
-            if fault.all():  # every row has faulted
-                values[..., hi:] = np.nan
-                break
+        return Grid(values, not bool(np.isfinite(values).all()))
+    values = np.empty((rows, n) if rows else n)
+    fault = np.zeros(rows, dtype=bool) if rows else np.False_
+    for lo in range(0, n, BLOCK):
+        hi = lo + BLOCK
+        for r, grid in grids:
+            regs[r] = grid[lo:hi]
+        block = values[..., lo:hi]
+        block[...] = _run(program, regs, arrays)
+        regs[program.result] = None  # its slice is in the grid
+        fault = fault | ~np.isfinite(block).all(axis=-1)
+        if fault.all():  # every row has faulted
+            values[..., hi:] = np.nan
+            break
     return Grid(values, fault if rows else bool(fault))
 
 
