@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import IC_FAMILY, LEAF_CONST, LEAF_DATA, Expr, TokenKind
+from .expr import IC_FAMILY, LEAF_CONST, LEAF_DATA, Expr, Program, TokenKind
 
 
 class EvalError(ValueError):
@@ -280,7 +280,7 @@ def eval_grid(e: Expr, data: Dataset,
     return Grid(values, fault if rows else bool(fault))
 
 
-def _run(program, regs: list, arrays: int):
+def _run(program: Program, regs: list, arrays: int):
     """Run ``program``'s steps over the values in ``regs``; its result."""
     with np.errstate(all="ignore"):
         for text, a, b, r, reuse, mask, dying in program.steps:
