@@ -125,7 +125,7 @@ def report_lines(result: SearchResult, case_id: str = "") -> list[str]:
         lines.append("status=no-evaluations")
         return lines
     lines += [
-        "status=ok",
+        "status=ok" if math.isfinite(result.breakdown.total) else "status=no-finite-candidate",
         f"best_tokens={result.expr.text}",
         f"best_simplified={simplify(result.expr).text}",
         f"best_infix={render_infix(result.expr, result.consts or None)}",
@@ -273,6 +273,8 @@ def _cmd_search(args) -> int:
         sys.stdout.write(text)
     if result.empty:
         print("no candidate was evaluated within the budget", file=sys.stderr)
+    elif not math.isfinite(result.breakdown.total):
+        print("no candidate scored a finite total", file=sys.stderr)
     else:
         print(
             f"best mse_total={result.breakdown.total!r} "

@@ -7,16 +7,16 @@ Gaussian profile), flattened x-major (index ``(ix*ny + iy)*nt + it``).
 Literals, named ones included, and learnable constants evaluate by value.
 :func:`eval_grid` runs an expression's :class:`~padesr.expr.Program`, which
 :func:`~padesr.expr.fold` compiled once per expression: each distinct subtree
-is computed once, each value is dropped after its last use, and a step whose
-operand dies there writes its result over it when that operand was made by an
-earlier step and has the result's shape.  It runs over slices of at most
-``BLOCK`` mesh points, so no value is larger than one slice.  Domain faults
-(log of a non-positive value, square root of a negative, arcsin/arccos
-outside [-1, 1], division by zero, powers leaving the reals) evaluate to NaN
-and raise the grid's fault flag; candidates are rejected wholesale by the
-objective rather than patched with protected operators.  So a grid stops at
-the end of the slice where it faults (where its last row does, for a
-constant matrix) and holds NaN after it: no score reads past a fault.
+is computed once and each value is dropped after its last use.  It runs over
+slices of at most ``BLOCK`` mesh points, so no value is larger than one slice;
+the slices and the early drops together bound the memory a program holds.
+Domain faults (log of a non-positive value, square root of a negative,
+arcsin/arccos outside [-1, 1], division by zero, powers leaving the reals)
+evaluate to NaN and raise the grid's fault flag; candidates are rejected
+wholesale by the objective rather than patched with protected operators.  So
+a grid stops at the end of the slice where it faults (where its last row
+does, for a constant matrix) and holds NaN after it: no score reads past a
+fault.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import IC_FAMILY, LEAF_CONST, LEAF_DATA, Expr, Program, TokenKind
+from .expr import IC_FAMILY, Expr, Program, TokenKind
 
 
 class EvalError(ValueError):
@@ -128,11 +128,6 @@ def linspace_axis(lo: float, hi: float, n: int) -> np.ndarray:
 # operator semantics (shared by grid evaluation and constant folding)
 
 
-# Each kernel writes into ``out`` when given one: an array of the result's
-# shape that the caller owns and no longer reads.  A mask read from an operand
-# is taken before ``out``, which may be that operand, is written.
-
-
 def _nan_where(r, mask):
     """``r`` with NaN where ``mask`` holds, written in place for an array."""
     if r.ndim:
@@ -141,29 +136,21 @@ def _nan_where(r, mask):
     return np.nan if mask else r
 
 
-def _op_log(a, out=None):
-    bad = np.logical_not(np.greater(a, 0))
-    return _nan_where(np.log(a, out=out), bad)
+def _op_log(a):
+    return _nan_where(np.log(a), np.logical_not(np.greater(a, 0)))
 
 
-def _op_div(a, b, out=None):
-    zero = np.equal(b, 0)
-    return _nan_where(np.divide(a, b, out=out), zero)  # np.divide: 1.0 / 0.0 raises
+def _op_div(a, b):
+    return _nan_where(np.divide(a, b), np.equal(b, 0))  # np.divide: 1.0 / 0.0 raises
 
 
-def _op_pow(a, b, out=None):
-    r = np.power(a, b, out=out)
+def _op_pow(a, b):
+    r = np.power(a, b)
     return _nan_where(r, np.logical_not(np.isfinite(r)))
 
 
-def _op_sech(a, out=None):
-    e = np.exp(a)  # before ``out`` is written
-    if not e.ndim:
-        return 2.0 / (e + np.exp(-a))
-    r = np.negative(a, out=out)
-    np.exp(r, out=r)
-    np.add(e, r, out=r)
-    return np.divide(2.0, r, out=r)
+def _op_sech(a):
+    return 2.0 / (np.exp(a) + np.exp(-a))
 
 
 UNARY_FUNCS = {
@@ -212,12 +199,12 @@ def eval_grid(e: Expr, data: Dataset,
               consts: Optional[Sequence[float] | np.ndarray] = None) -> Grid:
     """Evaluate over every mesh point of ``data`` by running ``e.program``.
 
-    Each distinct subtree of ``e`` is computed once, each value is dropped
-    after its last use, and a step writes over a value only when an earlier
-    step made it and it has the step's shape.  The program runs over slices
-    of at most ``BLOCK`` points, one after another, and each slice's result
-    is written into the grid; a grid of at most ``BLOCK`` points is one slice
-    and returns the program's result as it is.
+    Each distinct subtree of ``e`` is computed once and each value is dropped
+    after its last use.  The program runs over slices of at most ``BLOCK``
+    points, one after another, and each slice's result is written into the
+    grid, so the program holds a bounded number of values of at most one
+    slice each; a grid of at most ``BLOCK`` points is one slice and returns
+    the program's result as it is.
 
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
@@ -236,7 +223,7 @@ def eval_grid(e: Expr, data: Dataset,
         if given < e.n_slots:
             raise EvalError(f"missing value for constant slot {given}")
     batched = np.ndim(consts) == 2
-    if batched:  # a step may write a float result over a value made from a column
+    if batched:  # a ``C`` reads a float64 column, as one vector's ``C`` reads a float
         consts = np.asarray(consts, dtype=np.float64)
     program = e.program
     regs: list = [None] * program.size
@@ -253,11 +240,10 @@ def eval_grid(e: Expr, data: Dataset,
             except KeyError:
                 raise EvalError(f"dataset has no grid for leaf {tok.text!r}") from None
             grids.append((r, regs[r]))
-    arrays = LEAF_DATA | LEAF_CONST if batched else LEAF_DATA  # masks of array values
     rows = len(consts) if batched and e.n_slots else 0  # rows of an (m, n) grid
     n = data.n
     if n <= BLOCK or not grids:
-        values = _run(program, regs, arrays)
+        values = _run(program, regs)
         if rows:
             values = np.broadcast_to(values, (rows, n))  # ``C C -`` is a column
             return Grid(values, ~np.isfinite(values).all(axis=-1))
@@ -271,7 +257,7 @@ def eval_grid(e: Expr, data: Dataset,
         for r, grid in grids:
             regs[r] = grid[lo:hi]
         block = values[..., lo:hi]
-        block[...] = _run(program, regs, arrays)
+        block[...] = _run(program, regs)
         regs[program.result] = None  # its slice is in the grid
         fault = fault | ~np.isfinite(block).all(axis=-1)
         if fault.all():  # every row has faulted
@@ -280,15 +266,14 @@ def eval_grid(e: Expr, data: Dataset,
     return Grid(values, fault if rows else bool(fault))
 
 
-def _run(program: Program, regs: list, arrays: int):
+def _run(program: Program, regs: list):
     """Run ``program``'s steps over the values in ``regs``; its result."""
     with np.errstate(all="ignore"):
-        for text, a, b, r, reuse, mask, dying in program.steps:
-            out = regs[reuse] if reuse >= 0 and mask & arrays else None
+        for text, a, b, r, dying in program.steps:
             if b < 0:
-                v = UNARY_FUNCS[text](regs[a], out=out)
+                v = UNARY_FUNCS[text](regs[a])
             else:
-                v = BINARY_FUNCS[text](regs[a], regs[b], out=out)
+                v = BINARY_FUNCS[text](regs[a], regs[b])
             for u in dying:
                 regs[u] = None
             regs[r] = v

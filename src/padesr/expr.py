@@ -231,35 +231,22 @@ def sequence_depth(tokens: Sequence[Token], notation: Notation) -> int:
                 lambda tok, a, b: max(a, b) + 1)
 
 
-# A register's mask: the kinds of leaf its value depends on, plus COMPUTED
-# when a step, not a leaf, makes it.
-LEAF_CONST = 1
-LEAF_DATA = 2
-COMPUTED = 4
-_LEAF_MASK = {TokenKind.LITERAL: 0, TokenKind.CONST: LEAF_CONST,
-              TokenKind.VARIABLE: LEAF_DATA, TokenKind.IC: LEAF_DATA}
-
-
 class Program(NamedTuple):
     """An expression as a straight-line program over its distinct subtrees.
 
     Every distinct leaf and every distinct (operator, operand registers) node
     is one register, so a subtree repeated in the tokens is computed once.
     ``leaves`` lists ``(register, token)``.  ``steps`` lists, operands
-    first, ``(operator text, a, b, register, reuse, mask, dying)``: ``b`` is
-    -1 for a unary operator; ``dying`` holds the operand registers made by
-    earlier steps that no later step reads; ``reuse`` is the first of them
-    with the step's mask, else -1.  Values with one mask have one shape, so
-    the step may write its result over ``reuse``.  ``peak`` is the most
-    values that depend on a data leaf the program holds at once, a step's
-    operands and result included.
+    first, ``(operator text, a, b, register, dying)``: ``b`` is -1 for a
+    unary operator, and ``dying`` holds the operand registers made by earlier
+    steps that no later step reads, so each value is dropped after its last
+    use.  A leaf register is in no ``dying``.
     """
 
     size: int
     leaves: tuple[tuple[int, Token], ...]
-    steps: tuple[tuple[str, int, int, int, int, int, tuple[int, ...]], ...]
+    steps: tuple[tuple[str, int, int, int, tuple[int, ...]], ...]
     result: int
-    peak: int
 
 
 def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
@@ -271,67 +258,40 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
     where it stands.
     """
     ids: dict = {}
-    masks: list[int] = []
     leaves: list[tuple[int, Token]] = []
     nodes: list[tuple[str, int, int, int]] = []
 
     def leaf(tok: Token) -> int:
         r = ids.get(tok)
         if r is None:
-            r = ids[tok] = len(masks)
-            masks.append(_LEAF_MASK[tok.kind])
+            r = ids[tok] = len(ids)
             leaves.append((r, tok))
         return r
 
-    def unary(tok: Token, a: int) -> int:
-        key = (tok.text, a)
-        r = ids.get(key)
-        if r is None:
-            r = ids[key] = len(masks)
-            masks.append(masks[a] | COMPUTED)
-            nodes.append((tok.text, a, -1, r))
-        return r
-
-    def binary(tok: Token, a: int, b: int) -> int:
+    def node(tok: Token, a: int, b: int = -1) -> int:
         key = (tok.text, a, b)
         r = ids.get(key)
         if r is None:
-            r = ids[key] = len(masks)
-            masks.append(masks[a] | masks[b] | COMPUTED)
+            r = ids[key] = len(ids)
             nodes.append((tok.text, a, b, r))
         return r
 
-    result = fold(tokens, notation, leaf, unary, binary)
-    read = [False] * len(masks)  # read by a step after the one being placed
-    made = LEAF_DATA | COMPUTED  # the mask bits of a value a step makes from data
-    live = peak = 1 if masks[result] & made == made else 0  # live before the step placed
+    result = fold(tokens, notation, leaf, node, node)
+    read = [False] * len(ids)  # read by a step after the one being placed
+    for r, _ in leaves:  # set once, before any step: never dropped
+        read[r] = True
     steps = []
     for text, a, b, r in reversed(nodes):
-        mask = masks[r]
         dying: tuple[int, ...] = ()
-        reuse = -1
         if not read[a]:
             read[a] = True
-            if masks[a] & COMPUTED:
-                dying = (a,)
-                if masks[a] == mask:
-                    reuse = a
+            dying = (a,)
         if b >= 0 and not read[b]:
             read[b] = True
-            if masks[b] & COMPUTED:
-                dying += (b,)
-                if reuse < 0 and masks[b] == mask:
-                    reuse = b
-        if mask & LEAF_DATA:
-            for u in dying:
-                if masks[u] & LEAF_DATA:
-                    live += 1
-            live -= 1
-            if live + (reuse < 0) > peak:
-                peak = live + (reuse < 0)
-        steps.append((text, a, b, r, reuse, mask, dying))
+            dying += (b,)
+        steps.append((text, a, b, r, dying))
     steps.reverse()
-    return Program(len(masks), tuple(leaves), tuple(steps), result, peak)
+    return Program(len(ids), tuple(leaves), tuple(steps), result)
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def test_search_report_roundtrip(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "search", "--case", "case1", "--algo", "rs", "--depth", "1",
         "--notation", "postfix", "--tokens", "vars+const", "--threads", "1",
-        "--time", "30", "--seed", "5", "--max-evals", "60",
+        "--time", "30", "--seed", "5", "--max-evals", "60", "--threshold", "0",
         "--out", str(out_path),
     )
     assert code == 0
@@ -162,12 +162,12 @@ def test_search_report_roundtrip(tmp_path, capsys):
     assert fields["status"] == "ok"
     assert fields["algorithm"] == "rs"
     assert int(fields["evaluations"]) >= 1
-    # the reported expression re-evaluates to the reported total
+    # the reported expression re-evaluates to the reported total, a finite one
     code, out, _ = run_cli(
         capsys, "evaluate", "--case", "case1", "--notation", "postfix",
-        "--expr", fields["best_tokens"],
+        "--expr", fields["best_tokens"], "--threshold", "0",
     )
-    assert parse_report(out)["mse_total"] == fields["mse_total"]
+    assert parse_report(out)["mse_total"] == fields["mse_total"] != "inf"
 
 
 def test_search_depth0_best_is_leaf(tmp_path, capsys):
@@ -279,6 +279,23 @@ def test_search_max_evals_zero_scores_nothing(tmp_path, capsys):
     fields = parse_report(out_path.read_text())
     assert fields["evaluations"] == "0"
     assert fields["status"] == "no-evaluations"
+
+
+def test_search_without_a_finite_total_says_so(capsys):
+    # at depth 1 over x, y, t and I every candidate is gated out or scores
+    # inf, so the best of the run is no solution and the report says so
+    code, out, err = run_cli(
+        capsys, "search", "--case", "case1", "--algo", "rs", "--depth", "1",
+        "--notation", "postfix", "--tokens", "vars", "--seed", "9", "--max-evals", "30",
+        "--threads", "1",
+    )
+    assert code == 0
+    fields = parse_report(out)
+    assert fields["evaluations"] == "30"
+    assert fields["mse_total"] == "inf"
+    assert fields["status"] == "no-finite-candidate"
+    assert "no candidate scored a finite total" in err
+    assert "best mse_total" not in err
 
 
 SEARCH_ARGV = ("search", "--case", "case1", "--algo", "rs", "--depth", "1",
@@ -485,8 +502,9 @@ CLI_COMMANDS = (
      "--algos", "rs,sa", "--depths", "2..3", "--notations", "prefix,postfix",
      "--token-sets", "vars,vars+const", "--max-evals", "60", "--seed", "3", "--threads", "1"),
 )
-# recorded before the option handling of ``search`` was merged into one path
-CLI_DIGEST = "235c9ef8aef29e3df2f3515580157174aba03d9de524a19d32e5b4716cf2cee2"
+# re-recorded when a search whose best total is inf began to report
+# ``status=no-finite-candidate``; only the run.cfg search's output moved
+CLI_DIGEST = "1af128cf38c44e4f13f53c222363352e3da6eb0ea028c0fa31403e27d1f5aa5e"
 
 
 def test_cli_output_digest(tmp_path, capsys, monkeypatch):

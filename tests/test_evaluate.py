@@ -319,6 +319,33 @@ def test_a_matrix_stops_where_its_last_row_faults(case1, alpha1_opt, block_sizes
         assert np.isnan(stopped).all() and stopped.size == max(data.n - stop, 0) * 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NOTATIONS), st.sampled_from(tuple(TOKEN_MODES)), st.integers(0, 5),
+       st.randoms(use_true_random=False))
+def test_each_value_dies_at_its_last_reader(case1, notation, token_mode, depth, rng):
+    # no step writes over a value, so liveness alone bounds what a program
+    # holds: every value a step makes, but the result, is dropped by exactly
+    # one step, its last reader, and a leaf or the result is never dropped
+    e = sample_complete(rng, notation, depth, case_alphabet(case1[0], token_mode))
+    exprs = [e]
+    try:
+        exprs.append(differentiate(e, "x"))
+        exprs.append(differentiate(exprs[-1], "x"))
+    except DerivativeOrderError:
+        pass
+    for target in exprs:
+        program = target.program
+        last_reader = {}
+        for i, (_, a, b, _, _) in enumerate(program.steps):
+            for u in (a, b) if b >= 0 else (a,):
+                last_reader[u] = i
+        dropped = sorted((u, i) for i, step in enumerate(program.steps) for u in step[-1])
+        made = {step[3] for step in program.steps} - {program.result}
+        assert dropped == sorted((u, last_reader[u]) for u in made), target
+        never = {r for r, _ in program.leaves} | {program.result}
+        assert not never & {u for u, _ in dropped}, target
+
+
 def _leaf_grids(case, data):
     grids = [case.ux_grid, case.uy_grid]
     for dataset in (data, case.ic_plane, *case.planes.values()):
@@ -327,9 +354,9 @@ def _leaf_grids(case, data):
 
 
 def test_program_writes_only_values_it_made(alpha1_opt):
-    # a step writes over an operand only when an earlier step made it: the
-    # mesh and plane grids, the velocity grids, the caller's constants and
-    # the grids a plan keeps all come out with their bits unchanged
+    # no kernel and no plan writes over a dataset grid, a velocity grid, the
+    # caller's constants or a grid a plan keeps: they all come out with
+    # their bits unchanged
     case, data = build_case("case1", (10, 10, 10))
     leaves = _leaf_grids(case, data)
     before = [grid.tobytes() for grid in leaves]
@@ -449,5 +476,4 @@ def test_blocks_bound_what_sharing_holds(multi_block, alpha1_opt, monkeypatch, r
         seen.update(peak=0, largest=0)
         eval_grid(d, data, [0.5] * d.n_slots)
         assert seen["largest"] <= evaluate.BLOCK, d
-        assert seen["peak"] == d.program.peak, d  # ``peak`` is what a program holds
-        assert d.program.peak * evaluate.BLOCK <= _scan_stack_peak(d) * data.n, d
+        assert seen["peak"] * evaluate.BLOCK <= _scan_stack_peak(d) * data.n, d
