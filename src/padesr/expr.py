@@ -2,9 +2,9 @@
 
 Expressions are stored as flat prefix or postfix token sequences and are never
 materialized as trees.  Tree depth uses the convention that a lone leaf has
-depth 0.  Token-by-token generation is driven by :func:`legal_tokens`, which
-admits exactly the tokens that can still be completed into an expression whose
-depth fits the declared budget.
+depth 0.  Token-by-token generation is driven by :class:`Grammar`, one per
+draw, which admits exactly the tokens that can still be completed into an
+expression whose depth fits the declared budget.
 """
 
 from __future__ import annotations
@@ -143,8 +143,12 @@ class Alphabet:
         return self.variables + self.literals + extra
 
     @cached_property
+    def leaves_unaries(self) -> tuple[Token, ...]:
+        return self.leaves + self.unaries
+
+    @cached_property
     def ordered(self) -> tuple[Token, ...]:
-        return self.leaves + self.unaries + self.binaries
+        return self.leaves_unaries + self.binaries
 
     @cached_property
     def by_text(self) -> Mapping[str, Token]:
@@ -355,51 +359,89 @@ def make_expr(
 # depth-bounded grammar
 
 
-def _min_completion_depth(depths: Sequence[int]) -> int:
-    """Smallest final tree depth reachable from a postfix stack of subtree depths.
+class Grammar:
+    """The state of one token-by-token draw under a depth budget.
 
-    Each stack entry can only merge with the combined result of everything
-    above it, so the optimum is the pairwise top-down merge.
+    Prefix keeps a stack of the depth each open operand slot still allows,
+    the slot filled next on top.  Postfix keeps a stack of the depths of the
+    finished subtrees.  :meth:`push` updates the stack in O(1) and
+    :meth:`legal` reads it in O(1), so a draw takes time linear in its
+    length.  ``tokens`` lists what was pushed, ``partial`` first.
+
+    ``partial`` is pushed as given and must lead to an expression within
+    ``budget``; ``ExprError`` is raised otherwise, as :meth:`push` raises it
+    for a token after a complete prefix expression, a prefix operator with
+    no depth left, or a postfix operator short of operands.  A token taken
+    from :meth:`legal` always keeps the draw completable within ``budget``.
     """
-    m = depths[-1]
-    for d in reversed(depths[:-1]):
-        m = max(d, m) + 1
-    return m
 
+    def __init__(self, notation: Notation, budget: int, alphabet: Alphabet,
+                 partial: Iterable[Token] = ()):
+        self.prefix = notation is Notation.PREFIX
+        self.budget = budget
+        self.alphabet = alphabet
+        self.tokens: list[Token] = []
+        self._stack: list[int] = [budget] if self.prefix else []
+        for tok in partial:
+            self.push(tok)
+        stack = self._stack
+        if not self.prefix and stack:
+            # The stack completes soonest by merging from the top down, each
+            # entry with everything above it.  Pushing a token never lowers
+            # that depth, so the final stack decides.
+            least = stack[-1]
+            for d in reversed(stack[:-1]):
+                least = max(d, least) + 1
+            if least > budget:
+                raise ExprError("depth budget exceeded")
 
-def _prefix_demands(partial: Sequence[Token], budget: int) -> list[int]:
-    demands = [budget]
-    for tok in partial:
-        if not demands:
-            raise ExprError("token after complete prefix expression")
-        d = demands.pop()
+    def push(self, tok: Token) -> None:
+        stack = self._stack
         a = tok.arity
-        if a and d < 1:
-            raise ExprError("depth budget exceeded")
-        for _ in range(a):
-            demands.append(d - 1)
-    return demands
-
-
-def _postfix_depths(partial: Sequence[Token], budget: int) -> list[int]:
-    depths: list[int] = []
-    for tok in partial:
-        a = tok.arity
-        if a == 0:
-            depths.append(0)
+        if self.prefix:
+            if not stack:
+                raise ExprError("token after complete prefix expression")
+            d = stack.pop()
+            if a:
+                if d < 1:
+                    raise ExprError("depth budget exceeded")
+                stack.extend((d - 1,) * a)
+        elif a == 0:
+            stack.append(0)
         elif a == 1:
-            if not depths:
+            if not stack:
                 raise ExprError("operand underflow")
-            depths[-1] += 1
+            stack[-1] += 1
         else:
-            if len(depths) < 2:
+            if len(stack) < 2:
                 raise ExprError("operand underflow")
-            b = depths.pop()
-            depths[-1] = max(depths[-1], b) + 1
-    # appending a token never lowers the bound, so the final stack decides
-    if depths and _min_completion_depth(depths) > budget:
-        raise ExprError("depth budget exceeded")
-    return depths
+            b = stack.pop()
+            stack[-1] = max(stack[-1], b) + 1
+        self.tokens.append(tok)
+
+    def legal(self) -> tuple[Token, ...]:
+        """Tokens that extend the draw toward at least one in-budget
+        completion, in the alphabet's canonical order.
+
+        Empty exactly when no extension exists; for prefix that coincides
+        with completeness, for postfix a complete sequence may still be
+        extendable (pushing another operand to be merged later).
+        """
+        stack, alphabet = self._stack, self.alphabet
+        if self.prefix:
+            if not stack:
+                return ()
+            return alphabet.ordered if stack[-1] >= 1 else alphabet.leaves
+        n = len(stack)
+        if not n:
+            return alphabet.leaves
+        # With n subtrees stacked, a unary on the top one, or a leaf pushed
+        # onto it, leaves the top subtree n merges short of the root, so the
+        # expression can complete no shallower than top + n; the subtrees
+        # under it already fit.  Merging the top two leaves that bound as it is.
+        if stack[-1] + n <= self.budget:
+            return alphabet.ordered if n >= 2 else alphabet.leaves_unaries
+        return alphabet.binaries if n >= 2 else ()
 
 
 def legal_tokens(
@@ -408,49 +450,18 @@ def legal_tokens(
     budget: int,
     alphabet: Alphabet,
 ) -> list[Token]:
-    """Tokens that extend ``partial`` toward at least one in-budget completion.
-
-    The returned list preserves the alphabet's canonical order.  It is empty
-    exactly when no extension exists; for prefix sequences that coincides with
-    completeness, for postfix a complete sequence may still be extendable
-    (pushing another operand to be merged later).
-    """
-    if notation is Notation.PREFIX:
-        demands = _prefix_demands(partial, budget)
-        if not demands:
-            return []
-        d = demands[-1]
-        if d >= 1:
-            return list(alphabet.ordered)
-        return list(alphabet.leaves)
-
-    depths = _postfix_depths(partial, budget)
-    out: list[Token] = []
-    # A pushed leaf merges into the top entry before anything below it, so it
-    # reaches the same bound as a unary on the top entry; on an empty stack
-    # it is the whole expression.
-    unary_ok = bool(depths) and _min_completion_depth(
-        depths[:-1] + [depths[-1] + 1]) <= budget
-    if unary_ok or not depths:
-        out.extend(alphabet.leaves)
-    if unary_ok:
-        out.extend(alphabet.unaries)
-    if len(depths) >= 2:  # merging the top two leaves the bound as it is
-        out.extend(alphabet.binaries)
-    return out
+    """:meth:`Grammar.legal` after ``partial``, as a list."""
+    return list(Grammar(notation, budget, alphabet, partial).legal())
 
 
 def sample_complete(rng, notation: Notation, budget: int, alphabet: Alphabet,
                     partial: Sequence[Token] = ()) -> Expr:
     """Random completion of ``partial`` (by default a whole expression): draw
     uniformly from the legal set until it empties."""
-    toks = list(partial)
-    while True:
-        legal = legal_tokens(toks, notation, budget, alphabet)
-        if not legal:
-            break
-        toks.append(legal[rng.randrange(len(legal))])
-    return make_expr(toks, notation, budget)
+    g = Grammar(notation, budget, alphabet, partial)
+    while legal := g.legal():
+        g.push(legal[rng.randrange(len(legal))])
+    return make_expr(g.tokens, notation, budget)
 
 
 # ---------------------------------------------------------------------------

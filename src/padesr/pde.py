@@ -270,8 +270,17 @@ class ScoringPlan:
         return kept[1]
 
     def _gate_miss(self, g: Grid):
-        """Whether the gate rejects ``g``, per row of a batch."""
-        return g.fault | (_mean(np.abs(g.values)) < self.config.threshold)
+        """Whether the gate rejects ``g``, per row of a batch.
+
+        A faulting row is rejected whatever its mean, so once every row has
+        faulted the flags decide without ``|g|`` and its mean.
+        """
+        fault = g.fault  # a bool for one vector, one flag per row of a batch
+        if fault is True:
+            return np.True_
+        if fault is not False and fault.all():
+            return fault
+        return fault | (_mean(np.abs(g.values)) < self.config.threshold)
 
     def _gate(self, data: Dataset, consts, rows=None):
         """Test x, y, then t, stopping where the gate rejects every vector:

@@ -28,9 +28,10 @@ from .evaluate import Dataset
 from .expr import (
     Alphabet,
     Expr,
+    Grammar,
     Notation,
     Token,
-    legal_tokens,
+    legal_tokens,  # unused here; bench/run.py traces search.legal_tokens by name
     make_expr,
     sample_complete,
     sequence_depth,
@@ -200,8 +201,11 @@ class Swarm:
 
     def __init__(self, dim: int, size: int, rng: random.Random):
         self.rng = rng
-        self.pos = [[rng.uniform(-PSO_INIT_RANGE, PSO_INIT_RANGE) for _ in range(dim)]
-                    for _ in range(size)]
+        # random.uniform(lo, hi) is lo + (hi - lo) * random(): the same
+        # operands in the same order give the same floats, without a call
+        # per coordinate
+        lo, span, draw = -PSO_INIT_RANGE, PSO_INIT_RANGE - -PSO_INIT_RANGE, rng.random
+        self.pos = [[lo + span * draw() for _ in range(dim)] for _ in range(size)]
         self.vel = [[0.0] * dim for _ in range(size)]
         self.pbest = [list(p) for p in self.pos]
         self.pbest_f = [math.inf] * size
@@ -445,18 +449,18 @@ def _run_mcts(w: _Worker) -> None:
     stall = 0
     last_best = math.inf
     while True:
-        partial: list[Token] = []
+        g = Grammar(cfg.notation, cfg.depth, alphabet)
         state_key = ""
         path: list[tuple[str, str]] = []
-        while legal := legal_tokens(partial, cfg.notation, cfg.depth, alphabet):
+        while legal := g.legal():
             tok, expand = select_action(state_key, legal, *stats, c,
                                         w.rng if concurrent else None)
             path.append((state_key, tok.text))
-            partial.append(tok)
+            g.push(tok)
             if expand:
                 break
             state_key = tok.text if not state_key else f"{state_key} {tok.text}"
-        expr = sample_complete(w.rng, cfg.notation, cfg.depth, alphabet, partial)
+        expr = sample_complete(w.rng, cfg.notation, cfg.depth, alphabet, g.tokens)
         breakdown = w.score(expr)
         reward = 1.0 / (1.0 + breakdown.total)
         for skey, atext in path:
@@ -477,14 +481,12 @@ def _run_mcts(w: _Worker) -> None:
 def _decode_particle(vector: Sequence[float], w: _Worker) -> Expr:
     cfg = w.config
     dim = len(vector)
-    toks: list[Token] = []
+    g = Grammar(cfg.notation, cfg.depth, w.alphabet)
     j = 0
-    while True:
-        legal = legal_tokens(toks, cfg.notation, cfg.depth, w.alphabet)
-        if not legal:
-            return make_expr(toks, cfg.notation, cfg.depth)
-        toks.append(legal[int(abs(vector[j % dim])) % len(legal)])
+    while legal := g.legal():
+        g.push(legal[int(abs(vector[j % dim])) % len(legal)])
         j += 1
+    return make_expr(g.tokens, cfg.notation, cfg.depth)
 
 
 def _run_pso(w: _Worker) -> None:

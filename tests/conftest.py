@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from padesr import evaluate
 from padesr.expr import (
@@ -12,6 +13,11 @@ from padesr.expr import (
     VAR_Y,
 )
 from padesr.pde import build_case, case_alphabet
+
+# Every run draws fresh examples, so a property that fails prints the
+# ``@reproduce_failure`` blob that replays its failing example.
+settings.register_profile("padesr", print_blob=True)
+settings.load_profile("padesr")
 
 
 @pytest.fixture(scope="session")

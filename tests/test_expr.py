@@ -7,6 +7,7 @@ legal_tokens reaches exactly the same serializations.
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from padesr.expr import (
     BINARY_TOKENS,
     ExprError,
+    Grammar,
     Notation,
     ParseError,
     Token,
@@ -31,6 +33,7 @@ from padesr.expr import (
     token_path_depths,
 )
 from padesr.pde import TOKEN_MODES, case_alphabet
+from grammar_oracle import legal_tokens_oracle
 
 NOTATIONS = (Notation.PREFIX, Notation.POSTFIX)
 
@@ -136,6 +139,43 @@ def test_legal_tokens_no_dead_ends(alpha1, budget, notation, rng):
 def test_legal_tokens_malformed_partial_raises(alpha1):
     with pytest.raises(ExprError):
         legal_tokens([BINARY_TOKENS["+"]], Notation.POSTFIX, 3, alpha1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NOTATIONS), st.integers(0, 8), st.sampled_from(tuple(TOKEN_MODES)),
+       st.randoms(use_true_random=False))
+def test_pushed_grammar_lists_what_a_rescan_lists(case1, notation, budget, token_mode, rng):
+    # along a legal random walk, the state updated token by token admits what
+    # rescanning the whole partial admits, in content and in order
+    alphabet = case_alphabet(case1[0], token_mode)
+    g = Grammar(notation, budget, alphabet)
+    partial = []
+    while True:
+        legal = g.legal()
+        assert list(legal) == legal_tokens_oracle(partial, notation, budget, alphabet)
+        if not legal:
+            break
+        tok = legal[rng.randrange(len(legal))]
+        g.push(tok)
+        partial.append(tok)
+    assert g.tokens == partial
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NOTATIONS), st.integers(0, 8), st.sampled_from(tuple(TOKEN_MODES)),
+       st.data())
+def test_grammar_rejects_the_partials_a_rescan_rejects(case1, notation, budget, token_mode,
+                                                       data):
+    # arbitrary partials, most of them malformed: the same error, or the same list
+    alphabet = case_alphabet(case1[0], token_mode)
+    partial = data.draw(st.lists(st.sampled_from(alphabet.ordered), max_size=12))
+    try:
+        expected = legal_tokens_oracle(partial, notation, budget, alphabet)
+    except ExprError as err:
+        with pytest.raises(ExprError, match=f"^{re.escape(str(err))}$"):
+            Grammar(notation, budget, alphabet, partial)
+        return
+    assert list(Grammar(notation, budget, alphabet, partial).legal()) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,38 @@ def test_mcts_scores_the_recorded_candidate_sequence(algo, case1, monkeypatch):
     assert digest.hexdigest() == MCTS_KEY_SEQUENCES[algo]
 
 
+# the same digest for the other algorithms, recorded while the grammar still
+# rescanned the partial sequence per token and the swarm drew its positions
+# through ``random.uniform``
+KEY_SEQUENCES = {
+    "rs": "3705ddb6c92f0cab2d3ec11730395116ecd38def8d96c2f342bc7158cbf2ce69",
+    "pso": "abf485093125cf62a2d21ccbd21cb5db2902420b7dbd7d432bd0a1fe648758f7",
+    "gp": "eada65da45ff561eaf093178451d4698f2510a41bf68bbb505153d67503dcaad",
+    "sa": "305e66ef30afac9ff7edae118e67ad7d44ea2645b3aebb5e18c8e3f5c08961c8",
+}
+
+
+@pytest.mark.parametrize("algo", tuple(KEY_SEQUENCES))
+def test_every_algorithm_scores_its_recorded_candidate_sequence(algo, case1, monkeypatch):
+    # pins every draw of the sampler, the particle decoder and the swarm,
+    # not only the draws that reach a run's best
+    case, data = case1
+    digest = hashlib.sha256()
+    score = _Worker.score
+
+    def recording(w, e):
+        breakdown = score(w, e)
+        digest.update(e.key.encode() + b"\n")
+        return breakdown
+
+    monkeypatch.setattr(_Worker, "score", recording)
+    for notation in (Notation.PREFIX, Notation.POSTFIX):
+        run_search(quick_config(algo, depth=4, notation=notation, time_budget=600.0, seed=7,
+                                max_evals=600, objective=ObjectiveConfig(threshold=0.0)),
+                   case, data)
+    assert digest.hexdigest() == KEY_SEQUENCES[algo]
+
+
 # ---------------------------------------------------------------------------
 # run_search contracts
 
