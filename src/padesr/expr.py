@@ -396,6 +396,7 @@ class Grammar:
                 raise ExprError("depth budget exceeded")
 
     def push(self, tok: Token) -> None:
+        """Append ``tok``, raising ``ExprError`` on the errors named above."""
         stack = self._stack
         a = tok.arity
         if self.prefix:
@@ -435,10 +436,11 @@ class Grammar:
         n = len(stack)
         if not n:
             return alphabet.leaves
-        # With n subtrees stacked, a unary on the top one, or a leaf pushed
-        # onto it, leaves the top subtree n merges short of the root, so the
-        # expression can complete no shallower than top + n; the subtrees
-        # under it already fit.  Merging the top two leaves that bound as it is.
+        # With n subtrees stacked, a unary on the top one makes it top + 1
+        # deep with n - 1 merges still to come, and a leaf pushed over it
+        # leaves it n merges below the root: either way the expression
+        # completes no shallower than top + n.  The subtrees under the top
+        # already fit, and merging the top two leaves the bound as it is.
         if stack[-1] + n <= self.budget:
             return alphabet.ordered if n >= 2 else alphabet.leaves_unaries
         return alphabet.binaries if n >= 2 else ()
