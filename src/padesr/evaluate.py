@@ -10,6 +10,10 @@ Literals, named ones included, and learnable constants evaluate by value.
 is computed once and each value is dropped after its last use.  It runs over
 slices of at most ``BLOCK`` mesh points, so no value is larger than one slice;
 the slices and the early drops together bound the memory a program holds.
+A grid of more than ``BLOCK`` points is a :func:`scratch` array, as are the
+gate's |g| and the residual that scoring makes at that size: a buffer that
+the calling thread keeps and hands out again once nothing else references
+it, so grid-sized memory stays resident from one candidate to the next.
 Domain faults (log of a non-positive value, square root of a negative,
 arcsin/arccos outside [-1, 1], division by zero, powers leaving the reals)
 evaluate to NaN and raise the grid's fault flag; candidates are rejected
@@ -21,6 +25,9 @@ fault.
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -194,6 +201,52 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 # 32,768 points ran no faster on fine-mesh.
 BLOCK = 1 << 14
 
+# A float64 array of more than BLOCK points takes over 128 KiB, which glibc
+# places on heap pages that it trims back to the kernel once they are free,
+# so a fresh one per candidate pays a page fault on each 4 KiB page it
+# touches, about 250 for one 50^3 grid.  Such arrays come from a free list
+# that each thread keeps for itself; smaller ones stay on pages the
+# allocator keeps, and are made fresh.
+_local = threading.local()
+
+
+def _refcount(buffers: list) -> int:
+    for buf in buffers:
+        return sys.getrefcount(buf)
+
+
+_ALONE = _refcount([np.empty(0)])  # a buffer the list alone holds, counted as scratch counts
+
+
+def _buffers() -> list[np.ndarray]:
+    """Every buffer :func:`scratch` has made in this thread, free or not."""
+    try:
+        return _local.buffers
+    except AttributeError:
+        _local.buffers = []
+        return _local.buffers
+
+
+def scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``.
+
+    An array of more than ``BLOCK`` points is a view of a buffer from this
+    thread's free list.  A buffer is handed out again only once nothing but
+    the list references it, directly or through a view, so a grid a caller
+    keeps is never written over; the list grows only when every buffer of
+    the size is in use, so it holds no more of them than were live at once.
+    """
+    size = math.prod(shape)
+    if size <= BLOCK:
+        return np.empty(shape)
+    buffers = _buffers()
+    for buf in buffers:
+        if buf.size == size and sys.getrefcount(buf) == _ALONE:
+            return buf.reshape(shape)
+    buf = np.empty(size)
+    buffers.append(buf)
+    return buf.reshape(shape)
+
 
 def eval_grid(e: Expr, data: Dataset,
               consts: Optional[Sequence[float] | np.ndarray] = None) -> Grid:
@@ -202,9 +255,9 @@ def eval_grid(e: Expr, data: Dataset,
     Each distinct subtree of ``e`` is computed once and each value is dropped
     after its last use.  The program runs over slices of at most ``BLOCK``
     points, one after another, and each slice's result is written into the
-    grid, so the program holds a bounded number of values of at most one
-    slice each; a grid of at most ``BLOCK`` points is one slice and returns
-    the program's result as it is.
+    grid, a :func:`scratch` array, so the program holds a bounded number of
+    values of at most one slice each; a grid of at most ``BLOCK`` points is
+    one slice and returns the program's result as it is.
 
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
@@ -248,9 +301,12 @@ def eval_grid(e: Expr, data: Dataset,
             values = np.broadcast_to(values, (rows, n))  # ``C C -`` is a column
             return Grid(values, ~np.isfinite(values).all(axis=-1))
         if np.ndim(values) == 0:
-            values = np.full(n, float(values))
+            value = float(values)
+            values = scratch((n,))
+            values.fill(value)
+            return Grid(values, not math.isfinite(value))
         return Grid(values, not bool(np.isfinite(values).all()))
-    values = np.empty((rows, n) if rows else n)
+    values = scratch((rows, n) if rows else (n,))
     fault = np.zeros(rows, dtype=bool) if rows else np.False_
     for lo in range(0, n, BLOCK):
         hi = lo + BLOCK

@@ -4,7 +4,9 @@ Expressions are stored as flat prefix or postfix token sequences and are never
 materialized as trees.  Tree depth uses the convention that a lone leaf has
 depth 0.  Token-by-token generation is driven by :class:`Grammar`, one per
 draw, which admits exactly the tokens that can still be completed into an
-expression whose depth fits the declared budget.
+expression whose depth fits the declared budget, and builds the drawn
+expression without the rescans :func:`make_expr` makes of a sequence from
+elsewhere.
 """
 
 from __future__ import annotations
@@ -342,17 +344,22 @@ def make_expr(
     toks = list(tokens)
     if not is_complete(toks, notation):
         raise ExprError("incomplete expression")
+    _number_slots(toks)
+    if budget is not None:
+        depth = sequence_depth(toks, notation)
+        if depth > budget:
+            raise ExprError(f"depth {depth} exceeds budget {budget}")
+    return Expr(notation, tuple(toks))
+
+
+def _number_slots(toks: list[Token]) -> None:
+    """Give the constant tokens of ``toks`` slots 0, 1, ... in token order."""
     slot = 0
     for i, tok in enumerate(toks):
         if tok.kind is TokenKind.CONST:
             if tok.slot != slot:
                 toks[i] = Token(TokenKind.CONST, tok.text, slot=slot)
             slot += 1
-    if budget is not None:
-        depth = sequence_depth(toks, notation)
-        if depth > budget:
-            raise ExprError(f"depth {depth} exceeds budget {budget}")
-    return Expr(notation, tuple(toks))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +452,19 @@ class Grammar:
             return alphabet.ordered if n >= 2 else alphabet.leaves_unaries
         return alphabet.binaries if n >= 2 else ()
 
+    def expr(self) -> Expr:
+        """The draw as an :class:`Expr`, constants numbered as
+        :func:`make_expr` numbers them.
+
+        The stack already proves the depth, so nothing is scanned again; an
+        incomplete draw raises ``ExprError``.
+        """
+        if len(self._stack) != (0 if self.prefix else 1):
+            raise ExprError("incomplete expression")
+        toks = list(self.tokens)
+        _number_slots(toks)
+        return Expr(Notation.PREFIX if self.prefix else Notation.POSTFIX, tuple(toks))
+
 
 def legal_tokens(
     partial: Sequence[Token],
@@ -463,7 +483,7 @@ def sample_complete(rng, notation: Notation, budget: int, alphabet: Alphabet,
     g = Grammar(notation, budget, alphabet, partial)
     while legal := g.legal():
         g.push(legal[rng.randrange(len(legal))])
-    return make_expr(g.tokens, notation, budget)
+    return g.expr()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ every row's total has the bits :meth:`ScoringPlan.score` gives that vector.
 :meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit,
 from the derivatives alone: a first derivative that is the literal ``0`` at a
 positive threshold, or an order error.  ``threshold`` is 0 or more; a NaN one
-would switch the gate off, since no mean compares below it.
+would switch the gate off, since no mean compares below it.  The gate's
+|g| and the interior residual are :func:`~padesr.evaluate.scratch` arrays
+written with ``out=``, operand for operand as the formulas read, so past
+``BLOCK`` points they reuse the thread's resident buffers and every bit
+stays what fresh arrays give.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
 from .evaluate import (
-    Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis)
+    BLOCK, Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis, scratch)
 from .expr import ZERO, Alphabet, Expr, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -215,9 +219,32 @@ def _mean(values: np.ndarray):
     return np.add.reduce(values, axis=-1) / values.shape[-1]  # np.mean's sum and division
 
 
-def _mean_square(values: np.ndarray):
-    """Mean square per row; infinite for a row holding a non-finite value."""
-    return np.where(np.isfinite(values).all(axis=-1), _mean(np.square(values)), math.inf)
+def _mean_square(values: np.ndarray, out: Optional[np.ndarray] = None):
+    """Mean square per row; infinite for a row holding a non-finite value.
+    The squares are written to ``out``, which may be ``values`` itself."""
+    finite = np.isfinite(values).all(axis=-1)
+    return np.where(finite, _mean(np.square(values, out=out)), math.inf)
+
+
+def _residual_mean_square(case: PdeCase, t, x, y, xx, yy):
+    """Mean square of t + ux*x + uy*y - kappa*(xx + yy), per row.
+
+    Each operation is the one the formula spells, on the same operands in
+    the same order.  The residual is one :func:`~padesr.evaluate.scratch`
+    array, filled a slice of at most ``BLOCK`` points at a time, so the
+    terms it adds are slice-sized.  Every grid is ``(n,)``, or ``(rows, n)``
+    for the rows of a batch still in play, so the widest shape is the
+    broadcast one.
+    """
+    shape = max(t.shape, x.shape, y.shape, xx.shape, yy.shape, key=len)
+    residual = scratch(shape)
+    for lo in range(0, shape[-1], BLOCK):
+        cut = slice(lo, lo + BLOCK)
+        r = residual[..., cut]
+        np.add(t[..., cut], np.multiply(case.ux_grid[cut], x[..., cut], out=r), out=r)
+        r += case.uy_grid[cut] * y[..., cut]
+        r -= case.kappa * (xx[..., cut] + yy[..., cut])
+    return _mean_square(residual, out=residual)
 
 
 # A batch of constant vectors is scored max(1, BATCH_ELEMENTS // data.n) rows
@@ -280,7 +307,8 @@ class ScoringPlan:
             return np.True_
         if fault is not False and fault.all():
             return fault
-        return fault | (_mean(np.abs(g.values)) < self.config.threshold)
+        magnitude = np.abs(g.values, out=scratch(g.values.shape))
+        return fault | (_mean(magnitude) < self.config.threshold)
 
     def _gate(self, data: Dataset, consts, rows=None):
         """Test x, y, then t, stopping where the gate rejects every vector:
@@ -339,15 +367,9 @@ class ScoringPlan:
         except DerivativeOrderError:
             interior = math.inf
         else:
-            laplacian = (self._grid("xx", data, consts).values
-                         + self._grid("yy", data, consts).values)
-            residual = (
-                grids["t"]
-                + case.ux_grid * grids["x"]
-                + case.uy_grid * grids["y"]
-                - case.kappa * laplacian
-            )
-            interior = _mean_square(residual)
+            interior = _residual_mean_square(
+                case, grids["t"], grids["x"], grids["y"],
+                self._grid("xx", data, consts).values, self._grid("yy", data, consts).values)
         boundary = tuple(self._boundary_term(case, bc, consts) for bc in case.bcs)
         g = self._grid("", case.ic_plane, consts)
         initial = _mean_square(g.values - case.ic_plane.leaf["I"])

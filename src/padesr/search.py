@@ -486,7 +486,7 @@ def _decode_particle(vector: Sequence[float], w: _Worker) -> Expr:
     while legal := g.legal():
         g.push(legal[int(abs(vector[j % dim])) % len(legal)])
         j += 1
-    return make_expr(g.tokens, cfg.notation, cfg.depth)
+    return g.expr()
 
 
 def _run_pso(w: _Worker) -> None:

@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padesr import evaluate
+from padesr import evaluate, pde
 from padesr.evaluate import (
     BINARY_FUNCS, UNARY_FUNCS, EvalError, GaussianIc, build_dataset, eval_grid)
 from padesr.expr import IC_FAMILY, Notation, convert_notation, fold, parse, sample_complete
@@ -477,3 +479,166 @@ def test_blocks_bound_what_sharing_holds(multi_block, alpha1_opt, monkeypatch, r
         eval_grid(d, data, [0.5] * d.n_slots)
         assert seen["largest"] <= evaluate.BLOCK, d
         assert seen["peak"] * evaluate.BLOCK <= _scan_stack_peak(d) * data.n, d
+
+
+# ---------------------------------------------------------------------------
+# grid-sized buffers
+
+
+class LiveGrids:
+    """Wraps :func:`evaluate.scratch` to check each array it hands out
+    against every grid that must stay live: the grids each live
+    ``ScoringPlan`` keeps and the gate's grids while the interior is scored.
+    The checks read the grids through their holders and keep no reference
+    to an array between calls."""
+
+    def __init__(self, monkeypatch):
+        self.plans = weakref.WeakSet()
+        self.gate_grids = []  # the gate's grids of each _components call in progress
+        self.handouts = 0
+        real_scratch = evaluate.scratch
+        real_init = ScoringPlan.__init__
+        real_components = ScoringPlan._components
+
+        def scratch(shape):
+            a = real_scratch(shape)
+            self.handouts += 1
+            for plan in list(self.plans):
+                for _, g in plan._grids.values():
+                    assert not np.shares_memory(a, g.values)
+            for grids in self.gate_grids:
+                for v, values in grids.items():
+                    assert not np.shares_memory(a, values), v
+            return a
+
+        def init(plan, *args, **kwargs):
+            real_init(plan, *args, **kwargs)
+            self.plans.add(plan)
+
+        def components(plan, case, data, grids, consts):
+            self.gate_grids.append(grids)
+            try:
+                return real_components(plan, case, data, grids, consts)
+            finally:
+                self.gate_grids.pop()
+
+        monkeypatch.setattr(evaluate, "scratch", scratch)
+        monkeypatch.setattr(pde, "scratch", scratch)
+        monkeypatch.setattr(ScoringPlan, "__init__", init)
+        monkeypatch.setattr(ScoringPlan, "_components", components)
+
+
+def test_scoring_never_hands_out_a_live_grid(case1, alpha1_opt, monkeypatch, small_block):
+    # Under a small block every mesh and plane grid comes from the free list.
+    # Each candidate is scored while the plan before it is still alive, by
+    # score, or by totals as a constant fit does; no buffer handed out may be
+    # one that plan keeps, or one the gate keeps while the residual is made,
+    # and the kept grids must still hold their values afterwards.
+    monkeypatch.setattr(evaluate, "BLOCK", small_block)
+    live = LiveGrids(monkeypatch)
+    case, data = case1
+    rng = random.Random(5)
+    cfg = ObjectiveConfig(threshold=0.0)
+    previous = None
+    kept_by_gate = 0
+    for i in range(120):
+        e = sample_complete(rng, NOTATIONS[i % 2], 4, alpha1_opt)
+        plan = ScoringPlan(e, cfg)
+        if e.n_slots:
+            vectors = np.array([[rng.uniform(-2, 2) for _ in range(e.n_slots)]
+                                for _ in range(5)])
+            totals = plan.totals(case, data, vectors)
+            assert [plan.score(case, data, v).total for v in vectors] == list(totals)
+        elif not plan.score(case, data).gate_rejected:
+            kept_by_gate += 1
+        if previous is not None:
+            for key, values in previous[1].items():
+                np.testing.assert_array_equal(previous[0]._grids[key][1].values, values)
+        previous = plan, {key: g.values.copy() for key, (_, g) in plan._grids.items()}
+    assert kept_by_gate >= 10 and live.handouts > 1000
+
+
+def test_a_held_batch_row_is_not_handed_out(case1, alpha1_opt, monkeypatch, small_block):
+    monkeypatch.setattr(evaluate, "BLOCK", small_block)
+    _, data = case1
+    e = parse("x C * sin", Notation.POSTFIX, alpha1_opt)
+    row = eval_grid(e, data, np.array([[0.5]])).values
+    assert row.shape == (1, data.n)
+    want = row.copy()
+    for c in (1.5, 2.5, 3.5):
+        other = eval_grid(e, data, np.array([[c]])).values
+        assert not np.shares_memory(row, other)
+        assert not np.shares_memory(row, evaluate.scratch((1, data.n)))
+    np.testing.assert_array_equal(row, want)
+
+
+def test_two_threads_never_share_a_buffer(case1, alpha1, monkeypatch, small_block):
+    # Each thread scores its own candidates with its own free list, holding
+    # its last three grids; no grid either thread makes may share memory with
+    # a grid either one holds, and every grid must equal one evaluated alone.
+    monkeypatch.setattr(evaluate, "BLOCK", small_block)
+    _, data = case1
+    rng = random.Random(3)
+    exprs = [sample_complete(rng, Notation.POSTFIX, 3, alpha1) for _ in range(100)]
+    want = [eval_grid(e, data).values.copy() for e in exprs]
+    lock = threading.Lock()
+    held = {0: [], 1: []}
+    errors = []
+
+    def work(me):
+        try:
+            for k in range(200):
+                i = (k * 7 + me * 31) % len(exprs)
+                values = eval_grid(exprs[i], data).values
+                np.testing.assert_array_equal(values, want[i])
+                with lock:
+                    for grids in held.values():
+                        for other in grids:
+                            assert not np.shares_memory(values, other)
+                    held[me] = (held[me] + [values])[-3:]
+        except AssertionError as err:  # reported below, from the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often, so the two lists interleave
+    try:
+        threads = [threading.Thread(target=work, args=(me,)) for me in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors[0]
+
+
+def test_buffers_are_reused_and_the_list_stops_growing(case1, alpha1_opt, monkeypatch,
+                                                       small_block):
+    # 200 candidates scored in a fresh thread: the thread's list reaches its
+    # size within the first 100 and keeps it, and the plans' grids all sit in
+    # the buffers of that list, each reused many times over.
+    monkeypatch.setattr(evaluate, "BLOCK", small_block)
+    case, data = case1
+    sizes = []
+    bases = []
+
+    def work():
+        rng = random.Random(8)
+        for i in range(200):
+            e = sample_complete(rng, NOTATIONS[i % 2], 4, alpha1_opt)
+            plan = ScoringPlan(e, ObjectiveConfig(threshold=0.0))
+            if e.n_slots:
+                plan.totals(case, data, np.full((3, e.n_slots), 0.75))
+            else:
+                plan.score(case, data)
+            bases.extend(g.values.base.__array_interface__["data"][0]
+                         for _, g in plan._grids.values() if g.values.base is not None)
+            sizes.append(len(evaluate._buffers()))
+
+    th = threading.Thread(target=work)
+    th.start()
+    th.join(timeout=120)
+    assert not th.is_alive() and len(sizes) == 200
+    assert 0 < sizes[99] == sizes[-1] <= 40
+    assert len(set(bases)) <= sizes[-1] and len(bases) >= 10 * sizes[-1]

@@ -8,6 +8,7 @@ legal_tokens reaches exactly the same serializations.
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +177,50 @@ def test_grammar_rejects_the_partials_a_rescan_rejects(case1, notation, budget, 
             Grammar(notation, budget, alphabet, partial)
         return
     assert list(Grammar(notation, budget, alphabet, partial).legal()) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NOTATIONS), st.integers(0, 8), st.sampled_from(tuple(TOKEN_MODES)),
+       st.randoms(use_true_random=False))
+def test_a_drawn_expression_is_what_make_expr_builds(case1, notation, budget, token_mode,
+                                                    rng):
+    # at every step of a legal random walk, started from a partial whose C
+    # tokens carry slots of their own, Grammar.expr equals make_expr's full
+    # check on the same tokens, or both raise ExprError
+    alphabet = case_alphabet(case1[0], token_mode)
+    partial = [Token(TokenKind.CONST, "C", slot=5)] if alphabet.include_learnable else []
+    g = Grammar(notation, budget, alphabet, partial)
+    while True:
+        try:
+            want = make_expr(g.tokens, notation, budget)
+        except ExprError:
+            with pytest.raises(ExprError, match="^incomplete expression$"):
+                g.expr()
+        else:
+            assert g.expr() == want
+        legal = g.legal()
+        if not legal:
+            break
+        g.push(legal[rng.randrange(len(legal))])
+    assert want == g.expr()
+
+
+def test_a_finished_draw_is_not_checked_again(alpha1_opt, monkeypatch):
+    # sampling and PSO decoding build their Expr from the Grammar; make_expr
+    # stays for sequences spliced together elsewhere
+    from padesr import expr as expr_module, search
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("a drawn sequence was scanned again")
+
+    monkeypatch.setattr(expr_module, "make_expr", rescan)
+    monkeypatch.setattr(search, "make_expr", rescan)
+    rng = random.Random(4)
+    for i in range(200):
+        sample_complete(rng, NOTATIONS[i % 2], 5, alpha1_opt)
+    w = SimpleNamespace(config=SimpleNamespace(notation=Notation.PREFIX, depth=4),
+                        alphabet=alpha1_opt)
+    search._decode_particle([rng.uniform(-50, 50) for _ in range(31)], w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ first derivative closes the gate; gate tests name their threshold."""
 import hashlib
 import math
 import random
+import sys
 import warnings
 from unittest import mock
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padesr import evaluate
 from padesr.evaluate import eval_grid
 from padesr.expr import (
     BINARY_TOKENS,
@@ -285,21 +287,48 @@ def test_gate_takes_each_derivative_when_it_reaches_it(case1, alpha1, monkeypatc
     assert calls == list("xyt"[:derivatives])
 
 
-def test_objective_matches_component_ops(case1, alpha1, rng):
-    case, data = case1
+def test_objective_matches_component_ops(case1, alpha1, block_sizes):
+    # 26^3 is more than one block of the default size, so its grids, the
+    # gate's |g| and the residual are free-list buffers under either size
+    cases = (case1, build_case("case1", (26, 26, 26)))
+    assert cases[1][1].n > evaluate.BLOCK
     cfg = ObjectiveConfig(threshold=0.0)
-    found = 0
-    while found < 25:
-        e = sample_complete(rng, Notation.POSTFIX, 3, alpha1)
-        bd = objective(e, case, data, config=cfg)
-        if bd.gate_rejected:
-            continue
-        found += 1
-        finite, interior, boundary, initial = reference_components(e, case, data)
-        assert finite
-        assert bd.interior == interior
-        assert list(bd.boundary) == boundary
-        assert bd.initial == initial
+    for _ in block_sizes:
+        for case, data in cases:
+            rng = random.Random(20240817)
+            found = 0
+            while found < 25:
+                e = sample_complete(rng, Notation.POSTFIX, 3, alpha1)
+                bd = objective(e, case, data, config=cfg)
+                if bd.gate_rejected:
+                    continue
+                found += 1
+                finite, interior, boundary, initial = reference_components(e, case, data)
+                assert finite
+                assert bd.interior == interior
+                assert list(bd.boundary) == boundary
+                assert bd.initial == initial
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults Linux reports")
+def test_scoring_a_fine_mesh_candidate_faults_few_pages():
+    # At 50^3 a fresh 1 MB array per grid faults in each of its pages (about
+    # 100 faults per objective call on this corpus); free-list buffers stay
+    # resident, leaving a few per call.
+    import resource
+
+    case, data = build_case("case2", (50, 50, 50))
+    alphabet = case_alphabet(case, "vars+const")
+    rng = random.Random(11)
+    exprs = [sample_complete(rng, Notation.POSTFIX, 4, alphabet) for _ in range(120)]
+    for e in exprs[:20]:
+        objective(e, case, data)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for e in exprs[20:]:
+        objective(e, case, data)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 100 <= 25
 
 
 def test_total_is_exact_left_to_right_sum(case1, alpha1, rng):
