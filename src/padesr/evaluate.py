@@ -13,7 +13,10 @@ the slices and the early drops together bound the memory a program holds.
 A grid of more than ``BLOCK`` points is a :func:`scratch` array, as are the
 gate's |g| and the residual that scoring makes at that size: a buffer that
 the calling thread keeps and hands out again once nothing else references
-it, so grid-sized memory stays resident from one candidate to the next.
+it, so grid-sized memory stays resident from one candidate to the next.  A
+constant's grid (an expression without a data leaf, such as the literal
+``0`` most gate-rejected derivatives are) is a read-only stride-0 view of its
+one value, so it costs O(1) at any mesh size.
 Domain faults (log of a non-positive value, square root of a negative,
 arcsin/arccos outside [-1, 1], division by zero, powers leaving the reals)
 evaluate to NaN and raise the grid's fault flag; candidates are rejected
@@ -80,7 +83,8 @@ class Grid:
 
     A faulting grid of more than ``BLOCK`` points may hold NaN after the
     slice where it first faults; the flag is exact, and no score reads a
-    faulting row's values past it (see :func:`eval_grid`).
+    faulting row's values past it (see :func:`eval_grid`).  ``values`` may
+    be a read-only view: a constant's grid repeats one value with stride 0.
     """
 
     values: np.ndarray
@@ -235,6 +239,7 @@ def scratch(shape: tuple[int, ...]) -> np.ndarray:
     the list references it, directly or through a view, so a grid a caller
     keeps is never written over; the list grows only when every buffer of
     the size is in use, so it holds no more of them than were live at once.
+    A constant grid is a stride-0 view and takes no buffer.
     """
     size = math.prod(shape)
     if size <= BLOCK:
@@ -257,7 +262,11 @@ def eval_grid(e: Expr, data: Dataset,
     points, one after another, and each slice's result is written into the
     grid, a :func:`scratch` array, so the program holds a bounded number of
     values of at most one slice each; a grid of at most ``BLOCK`` points is
-    one slice and returns the program's result as it is.
+    one slice and returns the program's result as it is.  An expression
+    without a data leaf is a constant: the program runs once, on scalars
+    (or on one column of a batch), and its grid is a read-only stride-0 view
+    of that value, made in O(1) whatever the mesh size and holding no
+    :func:`scratch` buffer.  ``np.errstate`` is entered once per call.
 
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
@@ -295,42 +304,42 @@ def eval_grid(e: Expr, data: Dataset,
             grids.append((r, regs[r]))
     rows = len(consts) if batched and e.n_slots else 0  # rows of an (m, n) grid
     n = data.n
-    if n <= BLOCK or not grids:
-        values = _run(program, regs)
-        if rows:
-            values = np.broadcast_to(values, (rows, n))  # ``C C -`` is a column
-            return Grid(values, ~np.isfinite(values).all(axis=-1))
-        if np.ndim(values) == 0:
-            value = float(values)
-            values = scratch((n,))
-            values.fill(value)
-            return Grid(values, not math.isfinite(value))
-        return Grid(values, not bool(np.isfinite(values).all()))
-    values = scratch((rows, n) if rows else (n,))
-    fault = np.zeros(rows, dtype=bool) if rows else np.False_
-    for lo in range(0, n, BLOCK):
-        hi = lo + BLOCK
-        for r, grid in grids:
-            regs[r] = grid[lo:hi]
-        block = values[..., lo:hi]
-        block[...] = _run(program, regs)
-        regs[program.result] = None  # its slice is in the grid
-        fault = fault | ~np.isfinite(block).all(axis=-1)
-        if fault.all():  # every row has faulted
-            values[..., hi:] = np.nan
-            break
+    with np.errstate(all="ignore"):
+        if not grids:  # a constant: one value, or one per row of a batch
+            value = _run(program, regs)
+            if rows:  # ``C C -`` is a column
+                return Grid(np.broadcast_to(value, (rows, n)), ~np.isfinite(value).all(axis=-1))
+            value = np.float64(value)
+            return Grid(np.ndarray((n,), np.float64, value, 0, (0,)), not math.isfinite(value))
+        if n <= BLOCK:
+            values = _run(program, regs)
+            fault = ~np.isfinite(values).all(axis=-1)
+            return Grid(values, fault if rows else bool(fault))
+        values = scratch((rows, n) if rows else (n,))
+        fault = np.zeros(rows, dtype=bool) if rows else np.False_
+        for lo in range(0, n, BLOCK):
+            hi = lo + BLOCK
+            for r, grid in grids:
+                regs[r] = grid[lo:hi]
+            block = values[..., lo:hi]
+            block[...] = _run(program, regs)
+            regs[program.result] = None  # its slice is in the grid
+            fault = fault | ~np.isfinite(block).all(axis=-1)
+            if fault.all():  # every row has faulted
+                values[..., hi:] = np.nan
+                break
     return Grid(values, fault if rows else bool(fault))
 
 
 def _run(program: Program, regs: list):
-    """Run ``program``'s steps over the values in ``regs``; its result."""
-    with np.errstate(all="ignore"):
-        for text, a, b, r, dying in program.steps:
-            if b < 0:
-                v = UNARY_FUNCS[text](regs[a])
-            else:
-                v = BINARY_FUNCS[text](regs[a], regs[b])
-            for u in dying:
-                regs[u] = None
-            regs[r] = v
+    """Run ``program``'s steps over the values in ``regs``; its result.
+    The caller holds ``np.errstate(all="ignore")``: faults become NaN."""
+    for text, a, b, r, dying in program.steps:
+        if b < 0:
+            v = UNARY_FUNCS[text](regs[a])
+        else:
+            v = BINARY_FUNCS[text](regs[a], regs[b])
+        for u in dying:
+            regs[u] = None
+        regs[r] = v
     return regs[program.result]

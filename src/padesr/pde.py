@@ -20,8 +20,12 @@ grid: a ``C`` reads a column of the batch, each term is reduced per row, and
 every row's total has the bits :meth:`ScoringPlan.score` gives that vector.
 :meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit,
 from the derivatives alone: a first derivative that is the literal ``0`` at a
-positive threshold, or an order error.  ``threshold`` is 0 or more; a NaN one
-would switch the gate off, since no mean compares below it.  The gate's
+positive threshold, or an order error.  The gate applies the same literal-``0``
+rule at each variable it reaches: it still evaluates that grid, a constant's
+O(1) stride-0 view (see :func:`~padesr.evaluate.eval_grid`), but rejects
+without its |g| and mean, which is exact since a mean of zeros is 0.
+``threshold`` is 0 or more; a NaN one would switch the gate off, since no
+mean compares below it.  The gate's
 |g| and the interior residual are :func:`~padesr.evaluate.scratch` arrays
 written with ``out=``, operand for operand as the formulas read, so past
 ``BLOCK`` points they reuse the thread's resident buffers and every bit
@@ -321,7 +325,8 @@ class ScoringPlan:
         rows it rejects, so later scans evaluate only the rows still in play:
         the returned ``rows`` indexes the rows that passed, and the 2-D grids
         hold those rows alone.  An order error, if any, is met at x: d/dx and
-        d/dy fail on the same leaves.
+        d/dy fail on the same leaves.  A variable :meth:`_zero_at` names
+        rejects without a pass over its grid.
         """
         grids: dict[str, np.ndarray] = {}
         for v in ("x", "y", "t"):
@@ -329,6 +334,11 @@ class ScoringPlan:
                 g = self._grid(v, data, consts)
             except DerivativeOrderError as err:
                 return str(err), None, rows
+            # The grid is made even so: bench/run.py names the variable
+            # that rejected by counting eval_grid calls.  A constant's grid
+            # costs O(1).
+            if self._zero_at(v):
+                return "", None, rows
             miss = self._gate_miss(g)  # one flag, or one per row of a batch
             if miss.all() if miss.ndim else miss:
                 return "", None, rows
@@ -339,22 +349,28 @@ class ScoringPlan:
                 grids = {u: a[keep] if a.ndim == 2 else a for u, a in grids.items()}
         return "", grids, rows
 
+    def _zero_at(self, v: str) -> bool:
+        """Whether the threshold is positive and dT/dv is the literal ``0``.
+
+        Then the gate rejects at v whatever the constants are: a ``0``
+        evaluates to a zero grid without fault, whose mean is below any
+        positive threshold.
+        """
+        return self.config.threshold > 0 and self._derivative(v).tokens == (ZERO,)
+
     def rejects_every_vector(self) -> bool:
         """Whether the gate rejects ``T`` whatever its constants are, read
         from its derivatives alone, without evaluating a grid.
 
-        True when the threshold is positive and dT/dx, dT/dy or dT/dt is the
-        literal ``0`` (tested in that order, up to the first that is), or
-        when d/dx meets an order error: a ``0`` derivative evaluates to a zero
-        grid without fault, whose mean is below any positive threshold.
+        True when :meth:`_zero_at` holds for x, y or t (tested in that
+        order, up to the first that does), or when d/dx meets an order error.
         False otherwise, also where a ``C``-free grid fails the gate, which
         scoring then rejects on every row.  The first derivatives are taken
         through the plan, so scoring takes none again.
         """
         try:
             self._derivative("x")  # d/dy fails on the same leaves, d/dt on none
-            return self.config.threshold > 0 and any(
-                self._derivative(v).tokens == (ZERO,) for v in "xyt")
+            return any(self._zero_at(v) for v in "xyt")
         except DerivativeOrderError:
             return True
 

@@ -198,11 +198,20 @@ def _d_binary(op: str, a: Chunk, da: Chunk, b: Chunk, db: Chunk, em: _Emit) -> C
     raise ValueError(f"unknown binary operator {op!r}")
 
 
+# One-token derivatives, hash-consed: each (notation, token) is one Expr, so
+# its program compiles once per process.  Most derivatives the gate sees are
+# the literal ``0``.  The keys are tokens of the input, a leaf rule's result
+# or a table token, so the table holds at most one entry per distinct token
+# the process has differentiated.  Token equality includes ``slot``.
+_ONE_TOKEN: dict[tuple[Notation, Token], Expr] = {}
+
+
 def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
     """Exact symbolic derivative of ``e`` with respect to ``x``, ``y`` or ``t``.
 
     The result uses the same notation and keeps the constant slots of ``e``;
     its evaluation equals the derivative of ``e`` wherever both are defined.
+    A one-token result is interned: equal ones are one object.
     ``ic_derivatives`` picks the reading of the initial-condition family (see
     the module docstring); under ``"data"`` no :class:`DerivativeOrderError`
     can arise.  When several leaves have no stored derivative, the error
@@ -240,6 +249,12 @@ def differentiate(e: Expr, var: str, ic_derivatives: str = "analytic") -> Expr:
             if tok.arity == 0:
                 d_leaf(tok, var)
         raise
+    if len(chunk) == 1:
+        key = (e.notation, chunk[0])
+        found = _ONE_TOKEN.get(key)
+        if found is None:
+            found = _ONE_TOKEN.setdefault(key, Expr(e.notation, (chunk[0],)))
+        return found
     return Expr(e.notation, tuple(chunk))
 
 

@@ -632,8 +632,10 @@ def test_buffers_are_reused_and_the_list_stops_growing(case1, alpha1_opt, monkey
                 plan.totals(case, data, np.full((3, e.n_slots), 0.75))
             else:
                 plan.score(case, data)
+            # a constant's grid is a stride-0 view, which holds no buffer
             bases.extend(g.values.base.__array_interface__["data"][0]
-                         for _, g in plan._grids.values() if g.values.base is not None)
+                         for _, g in plan._grids.values()
+                         if g.values.base is not None and g.values.strides[-1])
             sizes.append(len(evaluate._buffers()))
 
     th = threading.Thread(target=work)
@@ -642,3 +644,89 @@ def test_buffers_are_reused_and_the_list_stops_growing(case1, alpha1_opt, monkey
     assert not th.is_alive() and len(sizes) == 200
     assert 0 < sizes[99] == sizes[-1] <= 40
     assert len(set(bases)) <= sizes[-1] and len(bases) >= 10 * sizes[-1]
+
+
+# ---------------------------------------------------------------------------
+# constant grids: one value, broadcast
+
+
+def test_a_constant_grid_is_a_read_only_stride_0_view(case1, alpha1_opt, block_sizes):
+    _, data = case1
+    singles = (("0", [], 0.0), ("x_min 2 +", [], 2.1), ("C", [1.5], 1.5), ("0 log", [], None))
+    for _ in block_sizes:
+        for text, consts, want in singles:
+            g = eval_grid(parse(text, Notation.POSTFIX, alpha1_opt), data, consts)
+            assert g.values.shape == (data.n,) and g.values.strides == (0,), text
+            assert not g.values.flags.writeable, text
+            with pytest.raises(ValueError):
+                g.values[0] = 1.0
+            assert g.fault is (want is None), text
+            if want is not None:
+                assert (g.values == want).all(), text
+            else:
+                assert np.isnan(g.values).all()
+        batch = eval_grid(parse("C log", Notation.POSTFIX, alpha1_opt), data,
+                          np.array([[-1.0], [2.0]]))
+        assert batch.values.shape == (2, data.n) and batch.values.strides[-1] == 0
+        assert not batch.values.flags.writeable
+        assert list(batch.fault) == [True, False]
+        assert (batch.values[1] == math.log(2.0)).all()
+
+
+def test_constant_grids_score_as_materialized_grids(case1, alpha1_opt, monkeypatch,
+                                                    block_sizes):
+    # dT/dy of "y 2 *" is a constant on case 1's DERIV_ZERO walls, "x x *"
+    # has constant xx and yy in the residual, and "2" and "C" are constant on
+    # the initial plane; each scores what a contiguous copy of its grid scores
+    case, data = case1
+    real = pde.eval_grid
+    constants = []
+
+    def materialized(e, d, consts=None):
+        g = real(e, d, consts)
+        constants.append(g.values.strides[-1] == 0)
+        return evaluate.Grid(np.array(g.values), g.fault)
+
+    texts = ("y 2 * t +", "x x * y + t +", "2", "C", "y C * t +")
+    cfg = ObjectiveConfig(threshold=0.0)
+    vectors = np.array([[0.5], [-3.0]])
+    for _ in block_sizes:
+        for text in texts:
+            e = parse(text, Notation.POSTFIX, alpha1_opt)
+            consts = vectors[:, :e.n_slots]
+            plan = ScoringPlan(e, cfg)
+            got = [plan.score(case, data, v) for v in consts]
+            got_totals = ScoringPlan(e, cfg).totals(case, data, consts)
+            with monkeypatch.context() as patched:
+                patched.setattr(pde, "eval_grid", materialized)
+                constants.clear()
+                plan = ScoringPlan(e, cfg)
+                want = [plan.score(case, data, v) for v in consts]
+                want_totals = ScoringPlan(e, cfg).totals(case, data, consts)
+            assert any(constants), text
+            assert got == want and not any(bd.gate_rejected for bd in got), text
+            assert got_totals.tobytes() == want_totals.tobytes(), text
+    assert [bd.boundary[0] for bd in got] == [0.25, 9.0]  # "y C * t +": dT/dy is C on the walls
+
+
+def test_constant_grids_never_grow_the_free_list(case1, alpha1_opt, monkeypatch, small_block):
+    # under a small block every 10^3 grid is past BLOCK points, yet constants
+    # take no buffer; the first grid with a data leaf takes one
+    monkeypatch.setattr(evaluate, "BLOCK", small_block)
+    _, data = case1
+    sizes = []
+
+    def work():
+        for text in ("0", "2 sqrt", "C 4 *", "0 log", "C C -"):
+            e = parse(text, Notation.POSTFIX, alpha1_opt)
+            for consts in ([0.5, 1.5], np.array([[0.5, 1.5], [2.0, 1.0]])):
+                for _ in range(3):
+                    eval_grid(e, data, consts)
+        sizes.append(len(evaluate._buffers()))
+        eval_grid(parse("x sin", Notation.POSTFIX, alpha1_opt), data)
+        sizes.append(len(evaluate._buffers()))
+
+    th = threading.Thread(target=work)
+    th.start()
+    th.join(timeout=60)
+    assert sizes == [0, 1]

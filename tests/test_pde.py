@@ -4,6 +4,7 @@ residual-as-expression equivalence proof.
 Components are read from ``objective`` at threshold 0, where only a faulting
 first derivative closes the gate; gate tests name their threshold."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padesr import evaluate
+from padesr import evaluate, pde
 from padesr.evaluate import eval_grid
 from padesr.expr import (
     BINARY_TOKENS,
+    IC_FAMILY,
     ZERO,
     Notation,
     convert_notation,
@@ -27,6 +29,7 @@ from padesr.expr import (
     sample_complete,
 )
 from padesr.pde import (
+    TOKEN_MODES,
     BcKind,
     MseBreakdown,
     ObjectiveConfig,
@@ -705,3 +708,89 @@ def test_gate_passing_cases_pass_under_the_analytic_reading(case1, alpha1_opt, e
     cfg = ObjectiveConfig()
     assert not ScoringPlan(e, cfg).rejects_every_vector()
     assert not objective(e, case, data, (20.0,), cfg).gate_rejected
+
+
+# ---------------------------------------------------------------------------
+# the gate's literal-0 rule: a dT/dv that is the literal 0 rejects at v
+# without a pass over its grid
+
+# postfix, parsed in free mode and converted to each notation
+_ZERO_RULE_CASES = (
+    "I_x y * t +",  # analytic: dT/dx holds I_xx; data: dT/dx is 0
+    "I_y x * t *",  # analytic: dT/dy is I_yy x * t *; data: it is 0
+    "I_xy C * t +",  # analytic: d/dx raises an order error; data: dT/dx is 0
+    "x 0 * y + t *",  # holds x, yet dT/dx is the literal 0
+    "x y * C *",  # no t: dT/dt is 0, while dT/dx and dT/dy hold C
+)
+
+
+def _zero_rule_candidate(draws, case):
+    """A candidate in a drawn notation: a hand-written free-mode one, or a
+    draw from a token mode's alphabet, which may hold I_x and its family."""
+    notation = draws.draw(st.sampled_from((Notation.PREFIX, Notation.POSTFIX)))
+    alphabet = case_alphabet(case, draws.draw(st.sampled_from(tuple(TOKEN_MODES))))
+    edge = draws.draw(st.sampled_from((None,) + _ZERO_RULE_CASES))
+    if edge is not None:
+        free = case_alphabet(case, "vars+const+opt")
+        return convert_notation(parse(edge, Notation.POSTFIX, free, mode="free"), notation)
+    if draws.draw(st.booleans()):  # the free-mode leaves I_x ... I_xy
+        alphabet = dataclasses.replace(alphabet, variables=alphabet.variables + IC_FAMILY[1:])
+    seed = draws.draw(st.integers(0, 2**32 - 1))
+    depth = draws.draw(st.integers(0, 4))
+    return sample_complete(random.Random(seed), notation, depth, alphabet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=st.data())
+def test_the_literal_zero_rule_agrees_with_the_full_gate(case1, draws):
+    case, data = case1
+    e = _zero_rule_candidate(draws, case)
+    cfg = draws.draw(st.sampled_from(_PLAN_CONFIGS))
+    vectors = draws.draw(st.lists(
+        st.lists(_EXIT_VALUES, min_size=e.n_slots, max_size=e.n_slots),
+        min_size=1, max_size=12))
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), e.n_slots)
+
+    def scores():
+        plan = ScoringPlan(e, cfg)
+        return ([plan.score(case, data, v) for v in vectors],
+                ScoringPlan(e, cfg).totals(case, data, vectors))
+
+    got, got_totals = scores()
+    with mock.patch.object(ScoringPlan, "_zero_at", return_value=False):
+        want, want_totals = scores()
+    # MseBreakdown equality covers gate_rejected, the note, total and every component
+    assert got == want, e
+    assert got_totals.tobytes() == want_totals.tobytes(), e
+
+
+@pytest.mark.parametrize("text", _ZERO_RULE_CASES)
+def test_the_literal_zero_rule_decides_its_cases(case1, alpha1_opt, monkeypatch, text):
+    # At the default threshold under the data reading, the rule rejects each
+    # hand-written case: the deciding variable's grid is still made, as a
+    # stride-0 view of 0, and the gate takes no |g| of it.  At threshold 0
+    # the rule is off, and the full gate tests that grid.
+    case, data = case1
+    e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
+    made, tested = [], []
+    real_eval, real_miss = pde.eval_grid, ScoringPlan._gate_miss
+
+    def recorded_eval(*args):
+        made.append(real_eval(*args))
+        return made[-1]
+
+    def recorded_miss(plan, g):
+        tested.append(g)
+        return real_miss(plan, g)
+
+    monkeypatch.setattr(pde, "eval_grid", recorded_eval)
+    monkeypatch.setattr(ScoringPlan, "_gate_miss", recorded_miss)
+    consts = [2.0] * e.n_slots
+    bd = objective(e, case, data, consts, ObjectiveConfig(ic_derivatives="data"))
+    assert bd.gate_rejected and bd.note == ""
+    decider = made[-1]
+    assert decider.values.strides == (0,) and not decider.values.any()
+    assert len(tested) == len(made) - 1 and all(g is not decider for g in tested)
+    tested.clear()
+    objective(e, case, data, consts, ObjectiveConfig(threshold=0.0, ic_derivatives="data"))
+    assert any(g.values.strides == (0,) and not g.values.any() for g in tested)

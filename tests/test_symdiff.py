@@ -2,15 +2,18 @@
 prefix/postfix agreement, in-situ rule behavior, and the display simplifier."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fd_oracle import FdOracle
+from padesr import expr, pde, symdiff
 from padesr.evaluate import eval_grid
 from padesr.expr import (
-    ZERO, Notation, Token, TokenKind, convert_notation, parse, sample_complete)
-from padesr.pde import TOKEN_MODES, case_alphabet
+    ZERO, Expr, Notation, Token, TokenKind, convert_notation, parse, sample_complete)
+from padesr.pde import TOKEN_MODES, build_case, case_alphabet, objective
 from padesr.symdiff import (
     IC_DERIVATIVE_MODES,
     DerivativeOrderError,
@@ -185,6 +188,96 @@ def test_differentiate_allocates_no_tokens(alpha1, monkeypatch):
     for var in "xyt":
         differentiate(e, var)
     assert created == []
+
+
+# ---------------------------------------------------------------------------
+# interned one-token derivatives
+
+
+def test_equal_one_token_derivatives_are_one_object_per_notation(alpha1_opt, rng):
+    seen = {}
+    for i in range(400):
+        e = sample_complete(rng, NOTATIONS[i % 2], rng.randint(0, 3), alpha1_opt)
+        for var in "xyt":
+            for reading in IC_DERIVATIVE_MODES:
+                d = differentiate(e, var, reading)
+                if len(d.tokens) == 1:
+                    assert seen.setdefault((d.notation, d.tokens), d) is d, (e.text, var)
+    zeros = [seen[(notation, (ZERO,))] for notation in NOTATIONS]
+    assert zeros[0] is not zeros[1] and zeros[0].notation is Notation.PREFIX
+    assert len(seen) >= 8
+
+
+def test_interned_constants_keep_their_slots(case1, alpha1_opt):
+    _, data = case1
+    first = differentiate(parse("x C *", Notation.POSTFIX, alpha1_opt), "x")
+    second = differentiate(parse("C x C * +", Notation.POSTFIX, alpha1_opt), "x")
+    assert [tok.slot for tok in first.tokens] == [0] and [tok.slot for tok in second.tokens] == [1]
+    assert first is not second and first != second
+    assert differentiate(parse("C x *", Notation.POSTFIX, alpha1_opt), "x") is first
+    assert (eval_grid(first, data, [1.5, 2.5]).values == 1.5).all()
+    assert (eval_grid(second, data, [1.5, 2.5]).values == 2.5).all()
+
+
+def test_two_threads_differentiate_a_corpus_alike(alpha1_opt, monkeypatch):
+    # both threads start from an empty table and fill it as they go
+    monkeypatch.setattr(symdiff, "_ONE_TOKEN", {})
+    rng = random.Random(13)
+    corpus = [sample_complete(rng, NOTATIONS[i % 2], rng.randint(0, 4), alpha1_opt)
+              for i in range(300)]
+    results = {}
+
+    def derive(me):
+        results[me] = [differentiate(e, var, reading) for e in corpus for var in "xyt"
+                       for reading in IC_DERIVATIVE_MODES]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often, so the two threads interleave
+    try:
+        threads = [threading.Thread(target=derive, args=(me,)) for me in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(symdiff, "_ONE_TOKEN", {})
+    derive("alone")
+    assert results[0] == results[1] == results["alone"]
+    assert sum(len(d.tokens) == 1 for d in results[0]) > 500
+
+
+def test_interning_cuts_program_compiles_on_a_sweep_shaped_corpus(monkeypatch):
+    # case 1 at 10^3, every token mode, both notations, depths 2, 5 and 8,
+    # as the sweep draws them: scored once with interning and once with each
+    # derivative a fresh Expr, every program compiled anew in both runs
+    case, data = build_case("case1", (10, 10, 10))
+    alphabets = [case_alphabet(case, mode) for mode in TOKEN_MODES]
+    rng = random.Random(20)
+    corpus = [sample_complete(rng, NOTATIONS[i % 2], (2, 5, 8)[i % 3], alphabets[i % 3])
+              for i in range(900)]
+    compiles = []
+    compile_program = expr.compile_program
+
+    def counted(tokens, notation):
+        compiles.append(1)
+        return compile_program(tokens, notation)
+
+    def run():
+        compiles.clear()
+        totals = [objective(Expr(e.notation, e.tokens), case, data, [0.5] * e.n_slots).total
+                  for e in corpus]
+        return len(compiles), totals
+
+    monkeypatch.setattr(expr, "compile_program", counted)
+    monkeypatch.setattr(symdiff, "_ONE_TOKEN", {})
+    interned, totals = run()
+    real = pde.differentiate
+    monkeypatch.setattr(pde, "differentiate",
+                        lambda e, var, reading: Expr(e.notation, real(e, var, reading).tokens))
+    fresh, fresh_totals = run()
+    assert totals == fresh_totals
+    assert interned <= 0.6 * fresh, (interned, fresh)
 
 
 # ---------------------------------------------------------------------------
