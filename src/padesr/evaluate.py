@@ -56,25 +56,20 @@ class GaussianIc:
         dy = y - self.y_center
         return np.exp(-(dx * dx + dy * dy)) / self.scale
 
-    def derivative(self, order_x: int, order_y: int, x, y):
-        """Analytic derivative grid for the stored family (total order <= 2)."""
+    def family(self, x, y) -> dict[tuple[int, int], np.ndarray]:
+        """Every stored derivative grid (total order <= 2), keyed by its
+        orders in x and y, from one evaluation of the Gaussian."""
         g = self.value(x, y)
         dx = x - self.x_center
         dy = y - self.y_center
-        key = (order_x, order_y)
-        if key == (0, 0):
-            return g
-        if key == (1, 0):
-            return -2.0 * dx * g
-        if key == (0, 1):
-            return -2.0 * dy * g
-        if key == (2, 0):
-            return (4.0 * dx * dx - 2.0) * g
-        if key == (0, 2):
-            return (4.0 * dy * dy - 2.0) * g
-        if key == (1, 1):
-            return 4.0 * dx * dy * g
-        raise ValueError(f"unsupported derivative order {key}")
+        return {
+            (0, 0): g,
+            (1, 0): -2.0 * dx * g,
+            (0, 1): -2.0 * dy * g,
+            (2, 0): (4.0 * dx * dx - 2.0) * g,
+            (0, 2): (4.0 * dy * dy - 2.0) * g,
+            (1, 1): 4.0 * dx * dy * g,
+        }
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,9 @@ def build_dataset(
     gy = np.tile(np.repeat(ys, nt), nx)
     gt = np.tile(ts, nx * ny)
     leaf: dict[str, np.ndarray] = {"x": gx, "y": gy, "t": gt}
+    family = ic.family(gx, gy)
     for tok in IC_FAMILY:
-        leaf[tok.text] = ic.derivative(tok.dx, tok.dy, gx, gy)
+        leaf[tok.text] = family[(tok.dx, tok.dy)]
     return Dataset(xs, ys, ts, leaf, (nx, ny, nt), n)
 
 

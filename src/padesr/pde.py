@@ -20,10 +20,18 @@ grid: a ``C`` reads a column of the batch, each term is reduced per row, and
 every row's total has the bits :meth:`ScoringPlan.score` gives that vector.
 :meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit,
 from the derivatives alone: a first derivative that is the literal ``0`` at a
-positive threshold, or an order error.  The gate applies the same literal-``0``
-rule at each variable it reaches: it still evaluates that grid, a constant's
-O(1) stride-0 view (see :func:`~padesr.evaluate.eval_grid`), but rejects
-without its |g| and mean, which is exact since a mean of zeros is 0.
+positive threshold, or an order error.  The gate applies the same rules, and
+which grids a rejection evaluates follows from them.  An order error, met at
+d/dx, evaluates none.  Nor does a ``T`` without a ``t`` leaf whose dT/dx is
+not ``0``: its dT/dt is the literal ``0``, which the leaf test reads from
+``T``'s tokens without taking dT/dt or dT/dy.  Any other literal-``0`` dT/dv
+rejects at v in the walk over x, y, t, after the earlier variables' grids:
+v's own grid is still evaluated, a constant's O(1) stride-0 view (see
+:func:`~padesr.evaluate.eval_grid`), but without its |g| and mean, which is
+exact since a mean of zeros is 0.  Every rejection gives the same breakdown,
+so these orders keep every score's bits; they keep the variable that
+``bench/run.py`` books too, which it names by counting ``eval_grid`` calls,
+and books at t when there are none.
 ``threshold`` is 0 or more; a NaN one would switch the gate off, since no
 mean compares below it.  The gate's
 |g| and the interior residual are :func:`~padesr.evaluate.scratch` arrays
@@ -44,7 +52,7 @@ import numpy as np
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
 from .evaluate import (
     BLOCK, Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis, scratch)
-from .expr import ZERO, Alphabet, Expr, make_alphabet
+from .expr import ZERO, Alphabet, Expr, TokenKind, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
 
@@ -325,18 +333,25 @@ class ScoringPlan:
         rows it rejects, so later scans evaluate only the rows still in play:
         the returned ``rows`` indexes the rows that passed, and the 2-D grids
         hold those rows alone.  An order error, if any, is met at x: d/dx and
-        d/dy fail on the same leaves.  A variable :meth:`_zero_at` names
-        rejects without a pass over its grid.
+        d/dy fail on the same leaves.  It evaluates no grid, nor does a ``T``
+        that :meth:`_t_free` names unless its dT/dx is the literal ``0``.  A
+        variable :meth:`_zero_at` names rejects after its grid is made, an
+        O(1) constant, but without a pass over it.
         """
+        try:
+            self._derivative("x")  # d/dy fails on the same leaves, d/dt on none
+        except DerivativeOrderError as err:
+            return str(err), None, rows
+        # bench/run.py names the variable that rejected by counting eval_grid
+        # calls and books a rejection with none at t, the variable that
+        # decides here; a literal-0 dT/dx is left to the walk, booked at x.
+        if self._t_free() and not self._zero_at("x"):
+            return "", None, rows
         grids: dict[str, np.ndarray] = {}
         for v in ("x", "y", "t"):
-            try:
-                g = self._grid(v, data, consts)
-            except DerivativeOrderError as err:
-                return str(err), None, rows
-            # The grid is made even so: bench/run.py names the variable
-            # that rejected by counting eval_grid calls.  A constant's grid
-            # costs O(1).
+            g = self._grid(v, data, consts)
+            # v's grid is made even so, an O(1) constant, so that bench/run.py,
+            # counting eval_grid calls, books the rejection at v
             if self._zero_at(v):
                 return "", None, rows
             miss = self._gate_miss(g)  # one flag, or one per row of a batch
@@ -354,25 +369,38 @@ class ScoringPlan:
 
         Then the gate rejects at v whatever the constants are: a ``0``
         evaluates to a zero grid without fault, whose mean is below any
-        positive threshold.
+        positive threshold.  Testing it takes dT/dv; :meth:`_t_free` tells
+        the same of t from ``T``'s tokens alone.
         """
         return self.config.threshold > 0 and self._derivative(v).tokens == (ZERO,)
+
+    def _t_free(self) -> bool:
+        """Whether the threshold is positive and no leaf of ``T`` is ``t``.
+
+        Then :meth:`_zero_at` holds at t, read from T's tokens without
+        taking dT/dt: under either reading every leaf rule gives ``0`` for
+        d/dt, and the identity rules fold every operator over zeros to ``0``.
+        """
+        return self.config.threshold > 0 and not any(
+            tok.kind is TokenKind.VARIABLE and tok.text == "t"
+            for tok in self._derived[""].tokens)
 
     def rejects_every_vector(self) -> bool:
         """Whether the gate rejects ``T`` whatever its constants are, read
         from its derivatives alone, without evaluating a grid.
 
-        True when :meth:`_zero_at` holds for x, y or t (tested in that
-        order, up to the first that does), or when d/dx meets an order error.
+        True when d/dx meets an order error, when :meth:`_t_free` holds, or
+        when :meth:`_zero_at` holds for x, y or t (tested in that order, up
+        to the first that does), so a ``T`` without ``t`` takes dT/dx alone.
         False otherwise, also where a ``C``-free grid fails the gate, which
         scoring then rejects on every row.  The first derivatives are taken
         through the plan, so scoring takes none again.
         """
         try:
             self._derivative("x")  # d/dy fails on the same leaves, d/dt on none
-            return any(self._zero_at(v) for v in "xyt")
         except DerivativeOrderError:
             return True
+        return self._t_free() or any(self._zero_at(v) for v in "xyt")
 
     def _components(self, case: PdeCase, data: Dataset, grids: Mapping[str, np.ndarray],
                     consts) -> tuple:

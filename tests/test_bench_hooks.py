@@ -73,10 +73,13 @@ def test_traffic_spans_constant_fitting(monkeypatch, case1):
 
 def test_gate_rejections_attributed_in_order(monkeypatch, case1, alpha1):
     # the benchmark names the missed variable from how many grids the gate
-    # evaluated, so the gate must test x, y, t in that order
+    # evaluated, so the gate must test x, y, t in that order; it books a
+    # rejection that evaluated no grid at t
     run, spans = load_bench(monkeypatch)
     case, data = case1
-    for text, missed in (("+ y t", "x"), ("+ x t", "y"), ("+ x y", "t")):
+
+    def booked(text):
+        """The variables booked for rejecting ``text``, and its eval_grid calls."""
         tracer = spans.Tracer()
         traffic = run.Traffic(padesr, tracer)
         try:
@@ -84,5 +87,15 @@ def test_gate_rejections_attributed_in_order(monkeypatch, case1, alpha1):
             assert padesr.search.objective(e, case, data).gate_rejected, text
         finally:
             traffic.close()
-        counts = tracer.summary().counts
-        assert [v for v in "xyt" if counts.get(f"pde.gate_reject.{v}")] == [missed], text
+        summary = tracer.summary()
+        counts = summary.counts
+        return ([v for v in "xyt" if counts.get(f"pde.gate_reject.{v}")],
+                summary.calls("evaluate.eval_grid"))
+
+    for text, missed in (("+ y t", "x"), ("+ x t", "y"), ("+ x y", "t")):
+        assert booked(text)[0] == [missed], text
+    # without a t leaf: a nonzero dT/dx rejects before any grid, a literal-0
+    # dT/dx at x as before; with one, a literal-0 dT/dt rejects after the walk
+    for text, missed, grids in (("* x y", "t", 0), ("* y 2", "x", 1),
+                                ("+ + x * x y * t 0", "t", 3)):
+        assert booked(text) == ([missed], grids), text

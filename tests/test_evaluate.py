@@ -209,6 +209,37 @@ def test_dataset_layout_and_linspace():
     assert data.leaf["t"][flat] == 6.0
 
 
+def test_the_ic_family_keeps_its_bits_from_one_gaussian_per_dataset(monkeypatch):
+    # each member against its own formula, the Gaussian evaluated afresh for
+    # each, on the 50^3 case-2 interior and every plane of the case
+    value = GaussianIc.value
+    gaussians = []
+
+    def counted(ic, x, y):
+        gaussians.append(1)
+        return value(ic, x, y)
+
+    monkeypatch.setattr(GaussianIc, "value", counted)
+    case, data = build_case("case2", (50, 50, 50))
+    datasets = [data, *case.planes.values(), case.ic_plane]
+    assert len(gaussians) == len(datasets)
+    formulas = {
+        "I": lambda dx, dy, g: g,
+        "I_x": lambda dx, dy, g: -2.0 * dx * g,
+        "I_y": lambda dx, dy, g: -2.0 * dy * g,
+        "I_xx": lambda dx, dy, g: (4.0 * dx * dx - 2.0) * g,
+        "I_yy": lambda dx, dy, g: (4.0 * dy * dy - 2.0) * g,
+        "I_xy": lambda dx, dy, g: 4.0 * dx * dy * g,
+    }
+    assert set(formulas) == {tok.text for tok in IC_FAMILY}
+    ic = case.ic
+    for d in datasets:
+        x, y = d.leaf["x"], d.leaf["y"]
+        for text, formula in formulas.items():
+            want = formula(x - ic.x_center, y - ic.y_center, value(ic, x, y))
+            assert d.leaf[text].tobytes() == want.tobytes(), text
+
+
 def test_dataset_has_grid_per_leaf(case1, alpha1):
     """Variables and the I family have grids; literals evaluate by value."""
     _, data = case1

@@ -274,10 +274,11 @@ def test_objective_gate_first(case1, alpha1):
     assert bd0.interior == 0.0
 
 
-@pytest.mark.parametrize("text, derivatives", [("+ y t", 1), ("+ x t", 2), ("+ x y", 3)])
+@pytest.mark.parametrize("text, derivatives", [("+ y t", 1), ("+ x t", 2), ("+ x y", 1)])
 def test_gate_takes_each_derivative_when_it_reaches_it(case1, alpha1, monkeypatch,
                                                        text, derivatives):
-    # a candidate rejected at x costs one differentiation, at y two, at t three
+    # a candidate rejected at x costs one differentiation, at y two; one
+    # without a t leaf costs dT/dx alone
     case, data = case1
     calls = []
 
@@ -710,6 +711,22 @@ def test_gate_passing_cases_pass_under_the_analytic_reading(case1, alpha1_opt, e
     assert not objective(e, case, data, (20.0,), cfg).gate_rejected
 
 
+def test_a_fit_without_a_t_leaf_exits_after_dT_dx(alpha1_opt, monkeypatch):
+    # dT/dt is the literal 0, read from T's tokens: neither dT/dy nor dT/dt is taken
+    calls = []
+
+    def counting(e, var, ic_derivatives="analytic"):
+        calls.append(var)
+        return differentiate(e, var, ic_derivatives)
+
+    monkeypatch.setattr("padesr.pde.differentiate", counting)
+    e = parse("x y * C *", Notation.POSTFIX, alpha1_opt)
+    for reading in ("analytic", "data"):
+        calls.clear()
+        assert ScoringPlan(e, ObjectiveConfig(ic_derivatives=reading)).rejects_every_vector()
+        assert calls == ["x"], reading
+
+
 # ---------------------------------------------------------------------------
 # the gate's literal-0 rule: a dT/dv that is the literal 0 rejects at v
 # without a pass over its grid
@@ -757,7 +774,8 @@ def test_the_literal_zero_rule_agrees_with_the_full_gate(case1, draws):
                 ScoringPlan(e, cfg).totals(case, data, vectors))
 
     got, got_totals = scores()
-    with mock.patch.object(ScoringPlan, "_zero_at", return_value=False):
+    with (mock.patch.object(ScoringPlan, "_zero_at", return_value=False),
+          mock.patch.object(ScoringPlan, "_t_free", return_value=False)):
         want, want_totals = scores()
     # MseBreakdown equality covers gate_rejected, the note, total and every component
     assert got == want, e
@@ -768,8 +786,9 @@ def test_the_literal_zero_rule_agrees_with_the_full_gate(case1, draws):
 def test_the_literal_zero_rule_decides_its_cases(case1, alpha1_opt, monkeypatch, text):
     # At the default threshold under the data reading, the rule rejects each
     # hand-written case: the deciding variable's grid is still made, as a
-    # stride-0 view of 0, and the gate takes no |g| of it.  At threshold 0
-    # the rule is off, and the full gate tests that grid.
+    # stride-0 view of 0, and the gate takes no |g| of it.  A case without a
+    # t leaf is rejected before any grid is made.  At threshold 0 the rule
+    # is off, and the full gate tests that grid.
     case, data = case1
     e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
     made, tested = [], []
@@ -788,9 +807,12 @@ def test_the_literal_zero_rule_decides_its_cases(case1, alpha1_opt, monkeypatch,
     consts = [2.0] * e.n_slots
     bd = objective(e, case, data, consts, ObjectiveConfig(ic_derivatives="data"))
     assert bd.gate_rejected and bd.note == ""
-    decider = made[-1]
-    assert decider.values.strides == (0,) and not decider.values.any()
-    assert len(tested) == len(made) - 1 and all(g is not decider for g in tested)
+    if text == "x y * C *":
+        assert made == [] and tested == []
+    else:
+        decider = made[-1]
+        assert decider.values.strides == (0,) and not decider.values.any()
+        assert len(tested) == len(made) - 1 and all(g is not decider for g in tested)
     tested.clear()
     objective(e, case, data, consts, ObjectiveConfig(threshold=0.0, ic_derivatives="data"))
     assert any(g.values.strides == (0,) and not g.values.any() for g in tested)

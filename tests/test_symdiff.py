@@ -1,18 +1,21 @@
 """Differentiation correctness against a central finite-difference oracle,
 prefix/postfix agreement, in-situ rule behavior, and the display simplifier."""
 
+import dataclasses
 import random
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fd_oracle import FdOracle
 from padesr import expr, pde, symdiff
 from padesr.evaluate import eval_grid
 from padesr.expr import (
-    ZERO, Expr, Notation, Token, TokenKind, convert_notation, parse, sample_complete)
+    IC_FAMILY, ZERO, Expr, Notation, Token, TokenKind, convert_notation, parse,
+    sample_complete)
 from padesr.pde import TOKEN_MODES, build_case, case_alphabet, objective
 from padesr.symdiff import (
     IC_DERIVATIVE_MODES,
@@ -363,3 +366,23 @@ def test_derivative_by_an_absent_variable_is_the_literal_zero(case1):
     assert reached > 1000
     x_times_zero = parse("x 0 *", Notation.POSTFIX, case_alphabet(case, "vars+const"))
     assert differentiate(x_times_zero, "x").tokens == (ZERO,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws=st.data())
+def test_a_derivative_by_t_without_a_t_leaf_is_the_literal_zero(case1, draws):
+    # the premise of the gate's leaf test, which rejects a T without a t leaf
+    # before any grid: every leaf rule gives 0 for d/dt under either reading,
+    # I-family leaves included, and every rewrite passes zeros on as 0
+    case, _ = case1
+    alphabet = case_alphabet(case, draws.draw(st.sampled_from(tuple(TOKEN_MODES))))
+    leaves = tuple(tok for tok in alphabet.variables if tok.text != "t")
+    if draws.draw(st.booleans()):  # the free-mode leaves I_x ... I_xy
+        leaves += IC_FAMILY[1:]
+    alphabet = dataclasses.replace(alphabet, variables=leaves)
+    seed = draws.draw(st.integers(0, 2**32 - 1))
+    notation = draws.draw(st.sampled_from(NOTATIONS))
+    e = sample_complete(random.Random(seed), notation, draws.draw(st.integers(0, 7)), alphabet)
+    assert not any(tok.kind is TokenKind.VARIABLE and tok.text == "t" for tok in e.tokens)
+    for reading in IC_DERIVATIVE_MODES:
+        assert differentiate(e, "t", reading).tokens == (ZERO,), (e.text, reading)
