@@ -1,15 +1,21 @@
 """Vectorized evaluation of flat expressions over mesh grids.
 
-A :class:`Dataset` holds the three inclusive axis linspaces and one value grid
-for each of x, y, t and the initial-condition feature ``I`` with its
-derivative family up to second order (precomputed analytically from the
-Gaussian profile), flattened x-major (index ``(ix*ny + iy)*nt + it``).
-Literals, named ones included, and learnable constants evaluate by value.
+A :class:`Dataset` holds the three inclusive axis linspaces and the values of
+x, y, t and the initial-condition feature ``I`` with its derivative family up
+to second order (precomputed analytically from the Gaussian profile, once per
+dataset), each on the sub-mesh of the axes it reads, shaped to broadcast; it
+gives them as flat grids, x-major (index ``(ix*ny + iy)*nt + it``), spread
+when read.  Literals, named ones included, and learnable constants evaluate
+by value.
 :func:`eval_grid` runs an expression's :class:`~padesr.expr.Program`, which
 :func:`~padesr.expr.fold` compiled once per expression: each distinct subtree
-is computed once and each value is dropped after its last use.  It runs over
-slices of at most ``BLOCK`` mesh points, so no value is larger than one slice;
-the slices and the early drops together bound the memory a program holds.
+is computed once, on the sub-mesh of the axes it reads (``x sin`` on nx
+points, ``x t *`` on nx*nt), and each value is dropped after its last use.
+It runs box by box over :func:`blocks`, boxes of whole trailing axes of at
+most ``BLOCK`` mesh points, each one contiguous flat range that the box's
+result is written into once; a step that reads no axis the boxes split runs
+once per call.  So no value is larger than one box, and the boxes and the
+early drops together bound the memory a program holds.
 A grid of more than ``BLOCK`` points is a :func:`scratch` array, as are the
 gate's |g| and the residual that scoring makes at that size: a buffer that
 the calling thread keeps and hands out again once nothing else references
@@ -21,22 +27,23 @@ Domain faults (log of a non-positive value, square root of a negative,
 arcsin/arccos outside [-1, 1], division by zero, powers leaving the reals)
 evaluate to NaN and raise the grid's fault flag; candidates are rejected
 wholesale by the objective rather than patched with protected operators.  So
-a grid stops at the end of the slice where it faults (where its last row
+a grid stops at the end of the box where it faults (where its last row
 does, for a constant matrix) and holds NaN after it: no score reads past a
-fault.
+fault.  Every NaN is written as ``np.nan``.
 """
-
 from __future__ import annotations
 
+import collections.abc
+import functools
 import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .expr import IC_FAMILY, Expr, Program, TokenKind
+from .expr import IC_FAMILY, MESH_AXES, Expr, Program, TokenKind
 
 
 class EvalError(ValueError):
@@ -77,7 +84,7 @@ class Grid:
     """Flat value grid plus a flag recording whether any entry is non-finite.
 
     A faulting grid of more than ``BLOCK`` points may hold NaN after the
-    slice where it first faults; the flag is exact, and no score reads a
+    box where it first faults; the flag is exact, and no score reads a
     faulting row's values past it (see :func:`eval_grid`).  ``values`` may
     be a read-only view: a constant's grid repeats one value with stride 0.
     """
@@ -88,7 +95,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Axes plus one flat grid per variable and per ``I``-family token."""
+    """Axes plus each variable's and each ``I``-family token's values.
+
+    ``sub_leaf`` holds each leaf on the sub-mesh of the axes it reads,
+    shaped to broadcast against the others: x ``(nx, 1, 1)``, y
+    ``(1, ny, 1)``, t ``(1, 1, nt)`` and each ``I``-family member
+    ``(nx, ny, 1)``; :func:`eval_grid` runs on these.  ``leaf`` gives the
+    same leaves as flat x-major grids of ``n`` points, each spread from its
+    sub-mesh when it is read, so a dataset keeps no grid of ``n`` points.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
@@ -96,6 +111,34 @@ class Dataset:
     leaf: Mapping[str, np.ndarray]
     shape: tuple[int, int, int]
     n: int
+    sub_leaf: Mapping[str, np.ndarray]
+
+
+class _FlatLeaves(collections.abc.Mapping):
+    """The leaves of a dataset as flat grids, spread from ``sub`` on read."""
+
+    def __init__(self, sub: Mapping[str, np.ndarray], shape: tuple[int, int, int]):
+        self._sub = sub
+        self._shape = shape
+
+    def __getitem__(self, text: str) -> np.ndarray:
+        return spread(self._sub[text], self._shape).reshape(-1)
+
+    def __iter__(self):
+        return iter(self._sub)
+
+    def __len__(self) -> int:
+        return len(self._sub)
+
+
+def spread(value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``value``, if it has ``shape``, else a contiguous copy of it
+    broadcast to ``shape``."""
+    if value.shape == shape:
+        return value
+    out = np.empty(shape)
+    np.copyto(out, value)
+    return out
 
 
 def build_dataset(
@@ -108,20 +151,18 @@ def build_dataset(
 
     Axis arrays of length 1 yield boundary-plane datasets (one coordinate
     pinned to its exact bound) with the same machinery as the interior mesh.
+    The ``I`` family is evaluated once, on the ``(nx, ny)`` sub-mesh.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
-    nx, ny, nt = len(xs), len(ys), len(ts)
-    n = nx * ny * nt
-    gx = np.repeat(xs, ny * nt)
-    gy = np.tile(np.repeat(ys, nt), nx)
-    gt = np.tile(ts, nx * ny)
-    leaf: dict[str, np.ndarray] = {"x": gx, "y": gy, "t": gt}
-    family = ic.family(gx, gy)
+    shape = nx, ny, nt = len(xs), len(ys), len(ts)
+    sub: dict[str, np.ndarray] = {
+        "x": xs.reshape(nx, 1, 1), "y": ys.reshape(1, ny, 1), "t": ts.reshape(1, 1, nt)}
+    family = ic.family(xs.reshape(nx, 1), ys.reshape(1, ny))
     for tok in IC_FAMILY:
-        leaf[tok.text] = family[(tok.dx, tok.dy)]
-    return Dataset(xs, ys, ts, leaf, (nx, ny, nt), n)
+        sub[tok.text] = family[(tok.dx, tok.dy)].reshape(nx, ny, 1)
+    return Dataset(xs, ys, ts, _FlatLeaves(sub, shape), shape, nx * ny * nt, sub)
 
 
 def linspace_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -195,10 +236,10 @@ def scalar_binary(op: str, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# eval_grid runs a program over slices of at most this many mesh points, so a
+# eval_grid runs a program over boxes of at most this many mesh points, so a
 # value is at most 128 KiB of float64 and the values a program holds stay in
-# cache, where a whole 50^3 grid is 1 MB per value.  Slices of 8,192 and of
-# 32,768 points ran no faster on fine-mesh.
+# cache, where a whole 50^3 grid is 1 MB per value.  Flat slices of 8,192 and
+# of 32,768 points ran no faster on fine-mesh.
 BLOCK = 1 << 14
 
 # A float64 array of more than BLOCK points takes over 128 KiB, which glibc
@@ -249,20 +290,87 @@ def scratch(shape: tuple[int, ...]) -> np.ndarray:
     return buf.reshape(shape)
 
 
+class Box(NamedTuple):
+    """One block of a mesh: whole trailing axes, so one contiguous flat range.
+
+    ``lo`` and ``hi`` bound the range, ``shape`` is the box's extent along
+    x, y and t, and ``cuts[m]`` indexes the box out of a value that varies
+    along the :data:`~padesr.expr.MESH_AXES` bits ``m`` (length 1 along
+    the others).
+    """
+
+    lo: int
+    hi: int
+    shape: tuple[int, int, int]
+    cuts: tuple[tuple[slice, slice, slice], ...]
+
+
+def blocks(shape: tuple[int, int, int]) -> tuple[int, tuple[Box, ...]]:
+    """The blocks :func:`eval_grid` runs a mesh of ``shape`` in, in flat
+    order, and the :data:`~padesr.expr.MESH_AXES` bits of the axes they
+    split.
+
+    A mesh of at most ``BLOCK`` points is one box that splits no axis.  A
+    larger one is cut into x-slabs of ``BLOCK // (ny*nt)`` planes; where one
+    x-plane is larger than ``BLOCK``, each plane into chunks of
+    ``BLOCK // nt`` y-rows, and where one row is too, each row into chunks
+    of ``BLOCK`` t-points.  No box holds more than ``BLOCK`` points.  An
+    axis is split where some box does not span all of it.
+    """
+    return _blocks(shape, BLOCK)
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(shape: tuple[int, int, int], size: int) -> tuple[int, tuple[Box, ...]]:
+    nx, ny, nt = shape
+    x, y, t = bits = tuple(MESH_AXES.values())  # in the order of ``shape``
+    every = slice(None)
+
+    def spans(n: int, k: int) -> list[slice]:
+        return [slice(i, min(i + k, n)) for i in range(0, n, k)]
+
+    if nx * ny * nt <= size:
+        boxes = [(every, every, every)]
+    elif ny * nt <= size:
+        boxes = [(sx, every, every) for sx in spans(nx, size // (ny * nt))]
+    elif nt <= size:
+        boxes = [(sx, sy, every) for sx in spans(nx, 1) for sy in spans(ny, size // nt)]
+    else:
+        boxes = [(sx, sy, st) for sx in spans(nx, 1) for sy in spans(ny, 1)
+                 for st in spans(nt, size)]
+    split = 0
+    out = []
+    for box in boxes:
+        (x0, x1, _), (y0, y1, _), (t0, t1, _) = (cut.indices(n) for cut, n in zip(box, shape))
+        lo = (x0 * ny + y0) * nt + t0
+        extent = (x1 - x0, y1 - y0, t1 - t0)
+        split |= sum(bit for bit, k, n in zip(bits, extent, shape) if k < n)
+        cuts = tuple(tuple(cut if m & bit else every for cut, bit in zip(box, bits))
+                     for m in range((x | y | t) + 1))
+        out.append(Box(lo, lo + math.prod(extent), extent, cuts))
+    return split, tuple(out)
+
+
 def eval_grid(e: Expr, data: Dataset,
               consts: Optional[Sequence[float] | np.ndarray] = None) -> Grid:
     """Evaluate over every mesh point of ``data`` by running ``e.program``.
 
     Each distinct subtree of ``e`` is computed once and each value is dropped
-    after its last use.  The program runs over slices of at most ``BLOCK``
-    points, one after another, and each slice's result is written into the
-    grid, a :func:`scratch` array, so the program holds a bounded number of
-    values of at most one slice each; a grid of at most ``BLOCK`` points is
-    one slice and returns the program's result as it is.  An expression
-    without a data leaf is a constant: the program runs once, on scalars
-    (or on one column of a batch), and its grid is a read-only stride-0 view
-    of that value, made in O(1) whatever the mesh size and holding no
-    :func:`scratch` buffer.  ``np.errstate`` is entered once per call.
+    after its last use.  Each step runs on the sub-mesh of the axes its
+    operands read (``data.sub_leaf`` and ``Program.axes``), so ``x sin``
+    takes nx points and ``x t *`` nx*nt, and broadcasting spreads a value
+    only where a step combines it with another axis.  The program runs box
+    by box over :func:`blocks`, and each box's result is written once into
+    the flat x-major grid, a :func:`scratch` array; a mesh of one box gives
+    its result as the grid, spread over the mesh where it reads fewer
+    axes.  A step whose value
+    reads no axis a box splits runs once per call, before the first box, and
+    its value stays live across the boxes; every other step runs once per
+    box, so it holds at most one box of points.  An expression without a
+    data leaf is a constant: its grid is a read-only stride-0 view of its
+    value (or of one column per row of a batch), made in O(1) whatever the
+    mesh size and holding no :func:`scratch` buffer.  ``np.errstate`` is
+    entered once per call.
 
     ``consts`` is one constant vector, or an ``(m, k)`` matrix of ``m``
     vectors.  With a matrix a ``C`` reads its column, so an expression with
@@ -270,72 +378,130 @@ def eval_grid(e: Expr, data: Dataset,
     gives the usual ``n`` values.  Too few constants for ``e``'s slots raise
     :class:`EvalError` before any arithmetic.
 
-    Once every row has faulted, the slices left are not computed and hold
-    NaN, so a faulting grid of more than ``BLOCK`` points is exact through
-    the slice where its last row first faults; the fault flags are exact.
-    No score reads past a fault: the gate rejects a faulting row, and the
+    Once every row has faulted, the boxes left are not computed and hold
+    NaN, so a faulting grid of more than one box is exact through the box
+    where its last row first faults; the fault flags are exact.  Every NaN
+    is written as ``np.nan``: where both operands of a kernel are NaN the
+    sign of its result depends on which of numpy's loops computed it.  No
+    score reads past a fault: the gate rejects a faulting row, and the
     residual, boundary and initial terms are infinite where it has one.
     """
+    batched = False  # whether a ``C`` reads a column of a batch
     if e.n_slots:
         given = 0 if consts is None else np.shape(consts)[-1]
         if given < e.n_slots:
             raise EvalError(f"missing value for constant slot {given}")
-    batched = np.ndim(consts) == 2
-    if batched:  # a ``C`` reads a float64 column, as one vector's ``C`` reads a float
-        consts = np.asarray(consts, dtype=np.float64)
+        batched = np.ndim(consts) == 2
+        if batched:  # a ``C`` reads a float64 column, as one vector's ``C`` reads a float
+            consts = np.asarray(consts, dtype=np.float64)
     program = e.program
+    axes = program.axes
+    split, boxes = blocks(data.shape)
     regs: list = [None] * program.size
-    grids = []  # (register, grid) of each data leaf
+    cut = []  # (register, value, axes) of each data leaf a box cuts
     for r, tok in program.leaves:
         kind = tok.kind
         if kind is TokenKind.LITERAL:
             regs[r] = tok.value
         elif kind is TokenKind.CONST:
-            regs[r] = consts[:, tok.slot:tok.slot + 1] if batched else float(consts[tok.slot])
+            regs[r] = (consts[:, tok.slot].reshape(-1, 1, 1, 1) if batched
+                       else float(consts[tok.slot]))
         else:
             try:
-                regs[r] = data.leaf[tok.text]
+                value = data.sub_leaf[tok.text]
             except KeyError:
                 raise EvalError(f"dataset has no grid for leaf {tok.text!r}") from None
-            grids.append((r, regs[r]))
-    rows = len(consts) if batched and e.n_slots else 0  # rows of an (m, n) grid
+            if axes[r] & split:
+                cut.append((r, value, axes[r]))
+            else:
+                regs[r] = value
+    rows = len(consts) if batched else 0  # rows of an (m, n) grid
+    lead = (rows,) if rows else ()
     n = data.n
+    result = program.result
     with np.errstate(all="ignore"):
-        if not grids:  # a constant: one value, or one per row of a batch
-            value = _run(program, regs)
+        _run(program, regs, split, False)
+        if not axes[result]:  # a constant: one value, or one per row of a batch
+            value = regs[result]
             if rows:  # ``C C -`` is a column
-                return Grid(np.broadcast_to(value, (rows, n)), ~np.isfinite(value).all(axis=-1))
-            value = np.float64(value)
+                value = np.reshape(value, (rows, 1))
+                if np.isnan(value).any():
+                    value = np.where(np.isnan(value), np.nan, value)
+                return Grid(np.broadcast_to(value, (rows, n)), ~np.isfinite(value[:, 0]))
+            value = np.float64(np.nan if value != value else value)
             return Grid(np.ndarray((n,), np.float64, value, 0, (0,)), not math.isfinite(value))
-        if n <= BLOCK:
-            values = _run(program, regs)
-            fault = ~np.isfinite(values).all(axis=-1)
-            return Grid(values, fault if rows else bool(fault))
-        values = scratch((rows, n) if rows else (n,))
-        fault = np.zeros(rows, dtype=bool) if rows else np.False_
-        for lo in range(0, n, BLOCK):
-            hi = lo + BLOCK
-            for r, grid in grids:
-                regs[r] = grid[lo:hi]
+        if not split:  # one box, the whole mesh: its result spread over it
+            value = regs[result]
+            finite = np.isfinite(value)
+            values = spread(value, lead + data.shape).reshape(lead + (n,))
+            if finite.all():
+                return Grid(values, np.zeros(rows, dtype=bool) if rows else False)
+            np.copyto(values, np.nan, where=np.isnan(values))
+            fault = ~finite.reshape(len(finite) if rows else 1, -1).all(axis=-1)
+            return Grid(values, fault if rows else True)
+        values = scratch(lead + (n,))
+        fault = np.zeros(rows or 1, dtype=bool)
+        for lo, hi, shape, cuts in boxes:
+            for r, value, m in cut:
+                regs[r] = value[cuts[m]]
+            _run(program, regs, split, True)
+            value = regs[result]
             block = values[..., lo:hi]
-            block[...] = _run(program, regs)
-            regs[program.result] = None  # its slice is in the grid
-            fault = fault | ~np.isfinite(block).all(axis=-1)
-            if fault.all():  # every row has faulted
-                values[..., hi:] = np.nan
-                break
-    return Grid(values, fault if rows else bool(fault))
+            np.copyto(block.reshape(lead + shape), value)
+            if axes[result] & split:
+                regs[result] = None  # its box is in the grid
+            finite = np.isfinite(value)  # on its sub-mesh, before it was spread
+            if not finite.all():
+                np.copyto(block, np.nan, where=np.isnan(block))
+                fault |= ~finite.reshape(len(fault), -1).all(axis=-1)
+                if fault.all():  # every row has faulted
+                    values[..., hi:] = np.nan
+                    break
+    return Grid(values, fault if rows else bool(fault[0]))
 
 
-def _run(program: Program, regs: list):
-    """Run ``program``'s steps over the values in ``regs``; its result.
-    The caller holds ``np.errstate(all="ignore")``: faults become NaN."""
+def _power(base, exponent: np.ndarray, mesh: bool):
+    """The ``^`` step of an array ``exponent``, ``mesh`` when it reads a
+    mesh axis, else a ``C`` column of a batch.
+
+    Where one exponent value is broadcast over many points, numpy may
+    compute ``^`` as a square, square root or reciprocal when that value is
+    2, 0.5 or -1, bits ``np.power`` does not give, and whether it does
+    depends on how the operands broadcast.  So its choice follows what the
+    exponent reads: a literal or one vector's ``C`` is 0-d, which takes that
+    shortcut; a batch's ``C`` column takes it too, one row at a time, so each
+    row has the bits of its vector; a mesh value, which a flat grid never
+    broadcast, is spread to the result's shape and never takes it.
+    """
+    pow_ = BINARY_FUNCS["^"]
+    shape = np.broadcast(base, exponent).shape
+    if mesh:
+        return pow_(base, spread(exponent, shape))
+    rows = np.ndim(base) == exponent.ndim  # the base has a row per vector too
+    return np.stack([pow_(base[i] if rows else base, exponent[i].reshape(()))
+                     for i in range(len(exponent))]).reshape(shape)
+
+
+def _run(program: Program, regs: list, split: int, boxed: bool) -> None:
+    """Run the steps of ``program`` whose values read an axis in ``split``,
+    when ``boxed``, or else those whose values read none, over the values in
+    ``regs``.  The caller holds ``np.errstate(all="ignore")``: faults
+    become NaN.
+
+    A value made before the boxes that a boxed step reads stays live across
+    them; any other value is dropped after its last reader.
+    """
+    axes, readers = program.axes, program.reader_axes
     for text, a, b, r, dying in program.steps:
+        if split and (not axes[r] & split) is boxed:
+            continue
         if b < 0:
             v = UNARY_FUNCS[text](regs[a])
+        elif text == "^" and (axes[b] or isinstance(regs[b], np.ndarray)):
+            v = _power(regs[a], regs[b], bool(axes[b]))
         else:
             v = BINARY_FUNCS[text](regs[a], regs[b])
         for u in dying:
-            regs[u] = None
+            if not split or axes[u] & split or not readers[u] & split:
+                regs[u] = None
         regs[r] = v
-    return regs[program.result]

@@ -48,6 +48,9 @@ class ParseError(ExprError):
 UNARY_OPS = ("~", "log", "exp", "cos", "sin", "sqrt", "asin", "acos", "tanh", "sech")
 BINARY_OPS = ("+", "-", "*", "/", "^")
 
+# One bit per mesh axis, so the axes a value reads are one int.
+MESH_AXES = {"x": 1, "y": 2, "t": 4}
+
 _ARITY = {
     TokenKind.VARIABLE: 0,
     TokenKind.IC: 0,
@@ -79,6 +82,17 @@ class Token:
     @cached_property
     def arity(self) -> int:
         return _ARITY[self.kind]
+
+    @property
+    def axes(self) -> int:
+        """The mesh axes a leaf's value varies along, as :data:`MESH_AXES`
+        bits: a variable its own, an ``I``-family leaf x and y, any other
+        token none."""
+        if self.kind is TokenKind.VARIABLE:
+            return MESH_AXES[self.text]
+        if self.kind is TokenKind.IC:
+            return MESH_AXES["x"] | MESH_AXES["y"]
+        return 0
 
     def __hash__(self) -> int:  # equal tokens have equal text
         return hash(self.text)
@@ -246,18 +260,25 @@ class Program(NamedTuple):
     first, ``(operator text, a, b, register, dying)``: ``b`` is -1 for a
     unary operator, and ``dying`` holds the operand registers made by earlier
     steps that no later step reads, so each value is dropped after its last
-    use.  A leaf register is in no ``dying``.
+    use.  A leaf register is in no ``dying``.  ``axes[r]`` holds the mesh
+    axes register ``r``'s value varies along, as :data:`MESH_AXES` bits: a
+    leaf's :attr:`Token.axes`, and for a step the union of its operands'.
+    ``reader_axes[r]`` is the union of ``axes`` over the steps that read
+    ``r``, 0 for the result.
     """
 
     size: int
     leaves: tuple[tuple[int, Token], ...]
     steps: tuple[tuple[str, int, int, int, tuple[int, ...]], ...]
     result: int
+    axes: tuple[int, ...]
+    reader_axes: tuple[int, ...]
 
 
 def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
     """Intern every subtree of a complete expression in one :func:`fold`,
-    then find each register's last reader in one backward pass.
+    recording the mesh axes each reads, then find each register's last
+    reader, and the axes of all its readers, in one backward pass.
 
     A shared value stays live from its first use to its last, so sharing
     can hold more values at once than a scan that computes each subtree
@@ -266,12 +287,14 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
     ids: dict = {}
     leaves: list[tuple[int, Token]] = []
     nodes: list[tuple[str, int, int, int]] = []
+    axes: list[int] = []
 
     def leaf(tok: Token) -> int:
         r = ids.get(tok)
         if r is None:
             r = ids[tok] = len(ids)
             leaves.append((r, tok))
+            axes.append(tok.axes)
         return r
 
     def node(tok: Token, a: int, b: int = -1) -> int:
@@ -280,24 +303,29 @@ def compile_program(tokens: Sequence[Token], notation: Notation) -> Program:
         if r is None:
             r = ids[key] = len(ids)
             nodes.append((tok.text, a, b, r))
+            axes.append(axes[a] | axes[b] if b >= 0 else axes[a])
         return r
 
     result = fold(tokens, notation, leaf, node, node)
     read = [False] * len(ids)  # read by a step after the one being placed
     for r, _ in leaves:  # set once, before any step: never dropped
         read[r] = True
+    readers = [0] * len(ids)
     steps = []
     for text, a, b, r in reversed(nodes):
         dying: tuple[int, ...] = ()
+        readers[a] |= axes[r]
         if not read[a]:
             read[a] = True
             dying = (a,)
-        if b >= 0 and not read[b]:
-            read[b] = True
-            dying += (b,)
+        if b >= 0:
+            readers[b] |= axes[r]
+            if not read[b]:
+                read[b] = True
+                dying += (b,)
         steps.append((text, a, b, r, dying))
     steps.reverse()
-    return Program(len(ids), tuple(leaves), tuple(steps), result)
+    return Program(len(ids), tuple(leaves), tuple(steps), result, tuple(axes), tuple(readers))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ every component and the gate decision.  It builds a :class:`ScoringPlan`, which
 holds what scoring one expression needs that no constant vector changes: the
 derivatives, taken as the gate reaches them, and the grids of derivatives
 without a learnable constant.  Fitting constants scores every candidate vector
-against one plan, so an expression is differentiated once per fit, and
+against one plan, and a search scores the fitted vector against the same
+plan, so an expression is differentiated once per fit and score, and
 :meth:`ScoringPlan.totals` scores a batch of vectors in one evaluation per
 grid: a ``C`` reads a column of the batch, each term is reduced per row, and
 every row's total has the bits :meth:`ScoringPlan.score` gives that vector.
@@ -51,7 +52,7 @@ import numpy as np
 
 from .symdiff import IC_DERIVATIVE_MODES, DerivativeOrderError, differentiate
 from .evaluate import (
-    BLOCK, Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis, scratch)
+    BLOCK, Dataset, GaussianIc, Grid, build_dataset, eval_grid, linspace_axis, scratch, spread)
 from .expr import ZERO, Alphabet, Expr, TokenKind, make_alphabet
 
 DEFAULT_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -185,12 +186,19 @@ def build_case(
         kappa=recipe["kappa"],
         ic=ic,
         bcs=recipe["bcs"],
-        ux_grid=np.asarray(recipe["ux"](data.leaf["x"], data.leaf["y"]), dtype=float),
-        uy_grid=np.asarray(recipe["uy"](data.leaf["x"], data.leaf["y"]), dtype=float),
+        ux_grid=_velocity(recipe["ux"], data),
+        uy_grid=_velocity(recipe["uy"], data),
         planes=planes,
         ic_plane=ic_plane,
     )
     return case, data
+
+
+def _velocity(component, data: Dataset) -> np.ndarray:
+    """A velocity component over ``data``'s flat grid, evaluated on the
+    sub-mesh of the axes x and y and spread over t."""
+    x, y = data.sub_leaf["x"], data.sub_leaf["y"]
+    return spread(np.asarray(component(x, y), dtype=float), data.shape).reshape(data.n)
 
 
 def case_alphabet(case: PdeCase, token_mode: str = "vars+const") -> Alphabet:
@@ -479,6 +487,7 @@ def objective(
     data: Dataset,
     consts: Optional[Sequence[float]] = None,
     config: Optional[ObjectiveConfig] = None,
+    plan: Optional[ScoringPlan] = None,
 ) -> MseBreakdown:
     """Gate first, then the unweighted sum interior + boundaries + initial.
 
@@ -489,6 +498,9 @@ def objective(
     the mean of (T - I)^2 over the (x, y) plane at t = t_lo.  An unsupported
     first derivative rejects ``T`` with a note; a fault, or an unsupported
     second derivative, makes its component infinite.  Scoring many constant
-    vectors of one ``T`` goes through one :class:`ScoringPlan` instead.
+    vectors of one ``T`` goes through one :class:`ScoringPlan` instead;
+    ``plan``, a plan of ``T`` under ``config`` such as the one a constant fit
+    scored against, is scored against in place of a new one, which gives
+    the same bits.
     """
-    return ScoringPlan(T, config).score(case, data, consts)
+    return (ScoringPlan(T, config) if plan is None else plan).score(case, data, consts)

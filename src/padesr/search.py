@@ -290,12 +290,15 @@ def fit_constants(
     data: Dataset,
     shared: SharedState,
     config: SearchConfig,
+    plan: Optional[ScoringPlan] = None,
 ) -> tuple[float, ...]:
     """Fit the learnable-constant slots of ``e`` by a short PSO run.
 
     Each swarm call scores the rest of a pass in one
-    :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, so ``e``
-    is differentiated once per fit.  When the derivatives of ``e`` show that
+    :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, ``plan``
+    when given (a plan of ``e`` under ``config.objective``), so ``e`` is
+    differentiated once per fit, and once in all when the caller scores the
+    fitted vector against the same plan.  When the derivatives of ``e`` show that
     the gate rejects it whatever its constants are (see
     :meth:`~padesr.pde.ScoringPlan.rejects_every_vector`), no particle can
     score finite and the fit returns the first drawn position unscored, as
@@ -310,7 +313,8 @@ def fit_constants(
     if cached is not None:
         return cached
     rng = random.Random(_mix(config.seed, _key_salt(key)))
-    plan = ScoringPlan(e, config.objective)
+    if plan is None:
+        plan = ScoringPlan(e, config.objective)
     if plan.rejects_every_vector():
         best = Swarm(e.n_slots, CONST_FIT_SWARM, rng).gbest
     else:
@@ -386,15 +390,18 @@ class _Worker:
     def score(self, e: Expr) -> MseBreakdown:
         """Claim one evaluation and score ``e``; raises :class:`_Stop` in place
         of scoring once the run is stopped, the deadline has passed or
-        ``max_evals`` evaluations are claimed."""
+        ``max_evals`` evaluations are claimed.  A fit and the score of its
+        vector share one :class:`~padesr.pde.ScoringPlan`, so ``e`` is
+        differentiated once."""
         cfg, shared = self.config, self.shared
         if (shared.stop.is_set() or time.monotonic() >= self.deadline
                 or not shared.claim(cfg.max_evals)):
             raise _Stop
+        plan = ScoringPlan(e, cfg.objective)
         consts: tuple[float, ...] = ()
         if e.n_slots:
-            consts = fit_constants(e, self.case, self.data, shared, cfg)
-        breakdown = objective(e, self.case, self.data, consts, cfg.objective)
+            consts = fit_constants(e, self.case, self.data, shared, cfg, plan)
+        breakdown = objective(e, self.case, self.data, consts, cfg.objective, plan)
         shared.offer(e.key, e, consts, breakdown)
         if not self.log or breakdown.total < self.log[-1][1]:
             self.log.append((time.monotonic() - self.start, breakdown.total))

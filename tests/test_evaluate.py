@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from padesr import evaluate, pde
 from padesr.evaluate import (
     BINARY_FUNCS, UNARY_FUNCS, EvalError, GaussianIc, build_dataset, eval_grid)
-from padesr.expr import IC_FAMILY, Notation, convert_notation, fold, parse, sample_complete
+from padesr.expr import (
+    IC_FAMILY, MESH_AXES, Notation, TokenKind, convert_notation, fold, parse, sample_complete)
 from padesr.pde import TOKEN_MODES, ObjectiveConfig, ScoringPlan, build_case, case_alphabet
 from padesr.symdiff import DerivativeOrderError, differentiate
 
@@ -263,6 +264,96 @@ def test_ic_derivative_grids_analytic(case1):
 
 
 # ---------------------------------------------------------------------------
+# the kernels: each point's bits do not depend on the layout of its operands
+
+# values that reach the kernels: ordinary ones, the edges of their domains
+# and of float64, and both signs of zero, infinity and NaN
+_SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.inf, -np.inf, np.nan, -np.nan,
+                      1e300, -1e300, 5e-324, 709.8, -745.2, 1e-8])
+
+
+def _operand(rng, size):
+    """``size`` values, about one in four of them from ``_SPECIALS``."""
+    values = rng.uniform(-4.0, 4.0, size)
+    special = rng.random(size) < 0.25
+    values[special] = rng.choice(_SPECIALS, special.sum())
+    return values
+
+
+def _canonical_bytes(values):
+    values = np.asarray(values)
+    return values.shape, np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def _step(op, *operands):
+    """``op`` applied as a program step applies it, an array exponent of
+    ``^`` read as a mesh value."""
+    if len(operands) == 1:
+        return UNARY_FUNCS[op](*operands)
+    if op == "^" and np.ndim(operands[1]):
+        return evaluate._power(*operands, mesh=True)
+    return BINARY_FUNCS[op](*operands)
+
+
+_KERNELS = [(op, 1) for op in UNARY_FUNCS] + [(op, 2) for op in BINARY_FUNCS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_KERNELS), st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(1, 300), st.sampled_from((1_000, 2_500))),
+       st.integers(0, 16), st.integers(1, 70), st.integers(1, 70))
+def test_a_kernel_gives_each_point_its_bits_in_any_layout(kernel, seed, length, offset, p, q):
+    # eval_grid runs each step on sub-mesh operands: slices of the boxes, 0-d
+    # scalars and broadcast shapes, where the flat oracle ran whole
+    # contiguous grids.  Numpy picks a vector loop or its scalar remainder by
+    # a point's position, so its bits must not depend on which computed it.
+    # One exception: numpy computes a 0-d exponent of 2, 0.5 or -1 as a
+    # square, square root or reciprocal, so a 0-d exponent is checked against
+    # itself, point by point; an operand is 0-d in eval_grid where it is in
+    # the flat oracle, and a mesh exponent is spread (see evaluate._power).
+    op, arity = kernel
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        # a slice at any offset against the whole contiguous operands
+        full = [_operand(rng, offset + length + 3) for _ in range(arity)]
+        want = _step(op, *full)[offset:offset + length]
+        cut = [a[offset:offset + length] for a in full]
+        assert _canonical_bytes(_step(op, *cut)) == _canonical_bytes(want), op
+        # a 0-d operand against the value spread over the other's shape
+        values, other = full[0][:length], full[-1][:length]
+        for i in range(min(length, 8)):
+            scalar = np.float64(values[i])
+            if arity == 1:
+                assert _canonical_bytes(_step(op, scalar)) == _canonical_bytes(
+                    _step(op, values)[i]), op
+                continue
+            spread = np.full(length, scalar)
+            assert (_canonical_bytes(_step(op, scalar, other))
+                    == _canonical_bytes(_step(op, spread, other))), op
+            if op == "^":
+                each = [_step(op, np.float64(v), scalar) for v in other]
+                assert _canonical_bytes(_step(op, other, scalar)) == _canonical_bytes(each)
+            else:
+                assert (_canonical_bytes(_step(op, other, scalar))
+                        == _canonical_bytes(_step(op, other, spread))), op
+        # broadcast operands against their materialized contiguous copies,
+        # each way round, and a 0-d operand with a broadcast one
+        column, row = _operand(rng, p).reshape(p, 1), _operand(rng, q).reshape(1, q)
+        columns, rows = np.tile(column, (1, q)), np.tile(row, (p, 1))
+        wide = np.broadcast_to(column, (p, q))
+        if arity == 1:
+            assert _canonical_bytes(_step(op, wide)) == _canonical_bytes(_step(op, columns)), op
+            return
+        scalar = np.float64(values[0])
+        pairs = [((column, row), (columns, rows)), ((row, column), (rows, columns)),
+                 ((wide, scalar), (columns, scalar)), ((scalar, wide), (scalar, columns))]
+        for v in (scalar, 2.0, 0.5, -1.0):  # one value broadcast over a column
+            pairs.append(((column, np.full((1, 1), v)), (column, np.full((p, 1), v))))
+        for got, want in pairs:
+            assert _canonical_bytes(_step(op, *got)) == _canonical_bytes(_step(op, *want)), op
+
+
+# ---------------------------------------------------------------------------
 # the compiled program: each distinct subtree once, writing only what it owns
 
 _CONSTS = st.one_of(st.floats(-20.0, 20.0), st.sampled_from((0.0, 1.0, -1.0, 1e300, -1e300)))
@@ -273,24 +364,30 @@ def _with_ic_family(alphabet):
     return dataclasses.replace(alphabet, variables=alphabet.variables + IC_FAMILY[1:])
 
 
-def assert_same_grid(got, want):
-    """``got`` has ``want``'s shape and fault flags, and each row has its
-    bits through the end of the row's first faulting block, or throughout
-    when the row does not fault.  Past that, where a grid stopped once every
-    row had faulted, ``got`` holds NaN.
+def ranges(data):
+    """The flat ``(lo, hi)`` range of each block ``eval_grid`` runs ``data`` in."""
+    return [(box.lo, box.hi) for box in evaluate.blocks(data.shape)[1]]
 
-    A grid of more than one block may differ in the sign of a NaN: where
-    both operands of a step are NaN, the sign of the result depends on
-    whether a vector loop or its scalar remainder computed the point, and a
-    block boundary moves that.  No result reads the sign of a NaN."""
+
+def stop_after(data, index):
+    """The end of the block holding flat ``index``: a grid whose every row
+    has faulted by then is NaN from there on."""
+    return next(hi for lo, hi in ranges(data) if lo <= index < hi)
+
+
+def assert_same_grid(got, want, data):
+    """``got`` has ``want``'s shape and fault flags, and each row has its
+    bits through the end of the block holding the row's first fault, or
+    throughout when the row does not fault.  Past that, where a grid stopped
+    once every row had faulted, ``got`` holds NaN.  Both write every NaN as
+    ``np.nan``, so the bytes compare exactly."""
     assert got.values.shape == want.values.shape
     assert np.array_equal(got.fault, want.fault)
     n = want.values.shape[-1]
-    same = (lambda v: v.tobytes()) if n <= evaluate.BLOCK else bits
     for g, w in zip(np.atleast_2d(got.values), np.atleast_2d(want.values)):
         bad = ~np.isfinite(w)
-        end = (np.argmax(bad) // evaluate.BLOCK + 1) * evaluate.BLOCK if bad.any() else n
-        assert same(g[:end]) == same(w[:end])
+        end = stop_after(data, np.argmax(bad)) if bad.any() else n
+        assert g[:end].tobytes() == w[:end].tobytes()
         assert np.isnan(g[end:][g[end:] != w[end:]]).all()
 
 
@@ -328,7 +425,7 @@ def test_program_equals_one_fold_scan(case1, small_block, draws):
             for grid_data in (data, case.planes[("y", "lo")]):
                 for consts in ((vector, matrix) if k else (None, matrix)):
                     assert_same_grid(eval_grid(target, grid_data, consts),
-                                     eval_grid_oracle(target, grid_data, consts))
+                                     eval_grid_oracle(target, grid_data, consts), grid_data)
 
 
 def test_a_matrix_stops_where_its_last_row_faults(case1, alpha1_opt, block_sizes):
@@ -346,10 +443,63 @@ def test_a_matrix_stops_where_its_last_row_faults(case1, alpha1_opt, block_sizes
             for grid_data in (data, case.planes[("y", "lo")]):
                 got = eval_grid(e, grid_data, consts)
                 want = eval_grid_oracle(e, grid_data, consts)
-                assert_same_grid(got, want)
-        stop = (7 * data.n // len(xs) // evaluate.BLOCK + 1) * evaluate.BLOCK
+                assert_same_grid(got, want, grid_data)
+        stop = stop_after(data, 7 * data.n // len(xs))
         stopped = eval_grid(e, data, np.array([[xs[2]], [xs[7]]])).values[:, stop:]
         assert np.isnan(stopped).all() and stopped.size == max(data.n - stop, 0) * 2
+
+
+def test_an_exponent_numpy_takes_a_shortcut_for_keeps_its_bits(case1, alpha1_opt, block_sizes):
+    # numpy may compute x^2, x^0.5 and x^-1 as a square, square root and
+    # reciprocal when one exponent value is broadcast; an exponent that reads
+    # x is one value per x-plane, or one per box where a box is one plane
+    # wide, and must give the bits of the flat grid it stands for, while a
+    # batch's C gives each row the bits of its vector
+    from fold_oracle import eval_grid_oracle
+
+    case, data = case1
+    texts = ("t x x / x x / + ^", "t x x / 2 / ^", "t x x / ~ ^", "I x x / x x / + ^",
+             "t y 0 * 2 + ^", "t C ^", "x C C + ^")
+    columns = ([[2.0]], [[2.0], [0.5], [-1.0]], [[1.0], [0.25]])
+    for _ in block_sizes:
+        for text in texts:
+            e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
+            k = e.n_slots
+            given = [[v] * k for v in (2.0, 0.5, -1.0, 1.0)]
+            given += [np.repeat(np.array(c), k, axis=1) for c in columns]
+            for grid_data in (data, case.planes[("x", "lo")], case.planes[("y", "hi")]):
+                for consts in given if k else (None,):
+                    got = eval_grid(e, grid_data, consts)
+                    assert_same_grid(got, eval_grid_oracle(e, grid_data, consts), grid_data)
+                    if np.ndim(consts) == 2:  # each row has the bits of its vector
+                        for row, vector in zip(got.values, consts):
+                            one = eval_grid(e, grid_data, vector).values
+                            assert row.tobytes() == one.tobytes(), (text, vector)
+
+
+@pytest.mark.parametrize("shape", [(10, 10, 10), (50, 50, 50), (1, 10, 10), (10, 1, 10),
+                                   (10, 10, 1), (5, 5, 5000), (2, 2, 40000), (1, 1, 1)])
+def test_blocks_are_boxes_that_tile_the_flat_grid_in_order(shape, block_sizes):
+    # each box is whole trailing axes, so its points are one contiguous flat
+    # range of at most BLOCK points, and the ranges follow one another; an
+    # axis is split exactly when some box does not span all of it
+    n = math.prod(shape)
+    index = np.arange(n).reshape(shape)
+    full = (MESH_AXES["x"] | MESH_AXES["y"] | MESH_AXES["t"])
+    for size in block_sizes:
+        split, boxes = evaluate.blocks(shape)
+        assert [box.lo for box in boxes] == [0] + [box.hi for box in boxes[:-1]]
+        assert boxes[-1].hi == n
+        spanned = 0
+        for box in boxes:
+            assert box.hi - box.lo == math.prod(box.shape) <= max(size, 1)
+            points = index[box.cuts[full]]
+            assert points.shape == box.shape
+            assert np.array_equal(points.ravel(), np.arange(box.lo, box.hi))
+            spanned |= sum(bit for bit, extent, whole in zip(MESH_AXES.values(), box.shape, shape)
+                           if extent < whole)
+        assert split == spanned
+        assert (len(boxes) == 1) == (n <= size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,7 +532,7 @@ def test_each_value_dies_at_its_last_reader(case1, notation, token_mode, depth, 
 def _leaf_grids(case, data):
     grids = [case.ux_grid, case.uy_grid]
     for dataset in (data, case.ic_plane, *case.planes.values()):
-        grids.extend(dataset.leaf.values())
+        grids.extend(dataset.sub_leaf.values())
     return grids
 
 
@@ -418,26 +568,35 @@ def test_program_writes_only_values_it_made(alpha1_opt):
 
 
 def _distinct_operator_subtrees(e):
-    seen = set()
+    """The mesh axes each distinct operator subtree of ``e`` reads, by subtree."""
+    seen = {}
 
-    def node(*key):
-        seen.add(key)
-        return key
+    def leaf(tok):
+        if tok.kind is TokenKind.IC:
+            return tok, frozenset("xy")
+        return tok, frozenset({tok.text} if tok.kind is TokenKind.VARIABLE else ())
 
-    fold(e.tokens, e.notation, lambda tok: tok, node, node)
-    return len(seen)
+    def node(tok, *operands):
+        key = (tok.text,) + tuple(k for k, _ in operands)
+        seen[key] = frozenset().union(*(reads for _, reads in operands))
+        return key, seen[key]
+
+    fold(e.tokens, e.notation, leaf, node, node)
+    return seen
 
 
 @pytest.fixture(scope="module")
 def multi_block(case2):
-    """A 125,000-point dataset: 8 blocks of eval_grid's size, the last partial."""
+    """A 125,000-point dataset whose 25,000-point y-t plane is larger than a
+    block, so eval_grid cuts each x-plane into chunks of y-rows."""
     _, data = case2
     return build_dataset(data.xs[:5], data.ys[:5], np.linspace(0.1, 20.0, 5000),
                          GaussianIc(1, 1))
 
 
 def test_each_distinct_subtree_is_computed_once(case1, multi_block, alpha1, monkeypatch):
-    # once per block: a grid of n points runs as ceil(n / BLOCK) blocks
+    # once per block for a step that reads an axis the blocks split, once
+    # per call, before the first block, for one that reads none
     calls = []
 
     def counted(table):
@@ -452,17 +611,25 @@ def test_each_distinct_subtree_is_computed_once(case1, multi_block, alpha1, monk
     T = parse("x I x t I ^ / / /", Notation.POSTFIX, alpha1, mode="free")
     derived = (differentiate(T, "x"), differentiate(differentiate(T, "x"), "x"))
     for data in (case1[1], multi_block):
-        blocks = -(-data.n // evaluate.BLOCK)
+        split, boxes = evaluate.blocks(data.shape)
+        split = {v for v, bit in MESH_AXES.items() if split & bit}
         calls.clear()
         eval_grid(parse("x sin x sin *", Notation.POSTFIX, alpha1), data)
-        assert calls == ["sin", "*"] * blocks
+        assert calls == ["sin", "*"] * len(boxes)
+        calls.clear()
+        eval_grid(parse("t sin x *", Notation.POSTFIX, alpha1), data)
+        assert calls == ["sin"] + ["*"] * len(boxes)
         for e in derived:
             calls.clear()
             assert not eval_grid(e, data).fault  # so no block is skipped
             operators = sum(1 for tok in e.tokens if tok.arity)
-            assert len(calls) == _distinct_operator_subtrees(e) * blocks
-            assert _distinct_operator_subtrees(e) < operators
-    assert multi_block.n == 125_000 and -(-multi_block.n // evaluate.BLOCK) == 8
+            subtrees = _distinct_operator_subtrees(e)
+            assert len(calls) == sum(len(boxes) if reads & split else 1
+                                     for reads in subtrees.values())
+            assert len(subtrees) < operators
+    split, boxes = evaluate.blocks(multi_block.shape)
+    assert split == MESH_AXES["x"] | MESH_AXES["y"]
+    assert [box.shape for box in boxes] == [(1, 3, 5000), (1, 2, 5000)] * 5
 
 
 def _scan_stack_peak(e):
@@ -474,10 +641,11 @@ def _scan_stack_peak(e):
 
 
 def test_blocks_bound_what_sharing_holds(multi_block, alpha1_opt, monkeypatch, rng):
-    # a shared value stays live from its first use to its last, so a program
-    # can hold more values at once than the one-scan stack holds entries; no
-    # value is larger than one block, so it never holds more elements than
-    # that stack held over the whole mesh
+    # a shared value stays live from its first use to its last, and a value
+    # made before the blocks stays live across them, so a program can hold
+    # more values at once than the one-scan stack holds entries; no value is
+    # larger than one block, so it never holds more elements than that stack
+    # held over the whole mesh
     data = multi_block
     made = []  # a weak reference to every array a kernel returned
     seen = {"peak": 0, "largest": 0}
@@ -487,8 +655,8 @@ def test_blocks_bound_what_sharing_holds(multi_block, alpha1_opt, monkeypatch, r
             def track(*args, _func=func, **kwargs):
                 result = _func(*args, **kwargs)
                 made.append(weakref.ref(result) if np.ndim(result) else lambda: None)
-                alive = {id(ref()) for ref in made if ref() is not None}
-                seen["peak"] = max(seen["peak"], len(alive))
+                alive = {id(a): a.size for a in (ref() for ref in made) if a is not None}
+                seen["peak"] = max(seen["peak"], sum(alive.values()))
                 seen["largest"] = max(seen["largest"], np.size(result))
                 return result
             monkeypatch.setitem(table, op, track)
@@ -509,7 +677,7 @@ def test_blocks_bound_what_sharing_holds(multi_block, alpha1_opt, monkeypatch, r
         seen.update(peak=0, largest=0)
         eval_grid(d, data, [0.5] * d.n_slots)
         assert seen["largest"] <= evaluate.BLOCK, d
-        assert seen["peak"] * evaluate.BLOCK <= _scan_stack_peak(d) * data.n, d
+        assert seen["peak"] <= _scan_stack_peak(d) * data.n, d
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from padesr.pde import TOKEN_MODES, build_case, case_alphabet
 from padesr.symdiff import DerivativeOrderError, differentiate, simplify
 
 NOTATION_DIGEST = "604f2de19a3de6e0e53bf9567389a7f31f1432e648eb6d7c58c25f9c90da1c33"
-EVAL_DIGEST = "6f4fe9224039dde4d5df5e8b740b70e1251d7c6356730480eb66e0a6b9b03cc7"
+EVAL_DIGEST = "88bd58d1da3a75d4082801c0a364bc41b455777d0f102468e48d504c579e4192"
 
 DEPTHS = range(2, 9)
 PER_CONFIG = 50

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from padesr.expr import (
 from padesr.evaluate import eval_grid
 from padesr.pde import (
     BATCH_ELEMENTS, ObjectiveConfig, ScoringPlan, build_case, case_alphabet, objective)
+from padesr import search
 from padesr.symdiff import differentiate
 from padesr.search import (
     ALGORITHMS,
@@ -172,6 +174,39 @@ def test_fit_constants_differentiates_once_per_fit(case1, alpha1_opt, monkeypatc
     assert calls == ["x", "y", "t", "x", "y"]
     # the fitted vector scores as it did when each particle ran the objective
     assert objective(e, case, data, consts, cfg.objective).total < math.inf
+
+
+@pytest.mark.parametrize("reading", ("analytic", "data"))
+def test_a_fitted_candidate_takes_each_derivative_once(case1, alpha1_opt, monkeypatch,
+                                                        reading):
+    # the fit and the score of its vector, which still goes through
+    # search.objective, share one plan: each derived expression is taken
+    # once, and the breakdown is the one a fresh plan gives
+    case, data = case1
+    calls = []
+
+    def counting(e, var, ic_derivatives="analytic"):
+        calls.append((e, var))
+        return differentiate(e, var, ic_derivatives)
+
+    scored = []
+
+    def scoring(*args):
+        scored.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr("padesr.pde.differentiate", counting)
+    monkeypatch.setattr(search, "objective", scoring)
+    e = parse("C x * I * y * t +", Notation.POSTFIX, alpha1_opt)
+    cfg = quick_config("rs", objective=ObjectiveConfig(threshold=0.0, ic_derivatives=reading))
+    shared = SharedState()
+    worker = _Worker(cfg, case, data, alpha1_opt, shared, time.monotonic(), 0)
+    breakdown = worker.score(e)
+    assert [var for _, var in calls] == ["x", "y", "t", "x", "y"], reading
+    assert len(set(calls)) == len(calls) and len(scored) == 1
+    consts = shared.cache_get(e.key)
+    assert breakdown == objective(e, case, data, consts, cfg.objective)
+    assert math.isfinite(breakdown.total)
 
 
 def test_fit_of_a_literal_zero_derivative_scores_no_particle(case1, alpha1_opt, monkeypatch):
