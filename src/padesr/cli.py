@@ -46,6 +46,8 @@ ALGORITHM_LABELS = {
 }
 
 SWEEP_HEADER = "#,Algorithm,Depth,Notation,MSE,Non-Optimizable Tokens,Optimizable Token"
+THREADS_HELP = ("worker count (default PADESR_THREADS, else 1); the workers run one "
+                "after another, each with a fixed share of the evaluations and the time")
 
 
 def _default_threads() -> int:
@@ -175,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int)
     sp.add_argument("--notation", choices=[n.value for n in Notation])
     sp.add_argument("--tokens", choices=TOKEN_MODES)
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help=THREADS_HELP)
     sp.add_argument("--time", type=float)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--threshold", type=float)
@@ -211,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--depths", type=_parse_depth_range, default=(1, 30))
     sw.add_argument("--notations", default="prefix,postfix")
     sw.add_argument("--token-sets", default=",".join(TOKEN_MODES))
-    sw.add_argument("--threads", type=int)
+    sw.add_argument("--threads", type=int, help=THREADS_HELP)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--max-evals", type=int)
     sw.add_argument("--mesh", type=_parse_mesh, default=(10, 10, 10))

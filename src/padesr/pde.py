@@ -34,11 +34,11 @@ so these orders keep every score's bits; they keep the variable that
 ``bench/run.py`` books too, which it names by counting ``eval_grid`` calls,
 and books at t when there are none.
 ``threshold`` is 0 or more; a NaN one would switch the gate off, since no
-mean compares below it.  The gate's
-|g| and the interior residual are :func:`~padesr.evaluate.scratch` arrays
-written with ``out=``, operand for operand as the formulas read, so past
-``BLOCK`` points they reuse the thread's resident buffers and every bit
-stays what fresh arrays give.
+mean compares below it.  The gate's |g| of a grid that is not constant and
+the interior residual are :func:`~padesr.evaluate.scratch` arrays written
+with ``out=``, operand for operand as the formulas read, so past ``BLOCK``
+points they reuse the thread's resident buffers and every bit stays what
+fresh arrays give.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class PdeCase:
 
     Velocity grids and the boundary/initial-plane datasets are evaluated once
     at build time; everything here is immutable and safe to share across
-    search threads.
+    workers and threads.
     """
 
     name: str
@@ -269,7 +269,7 @@ def _residual_mean_square(case: PdeCase, t, x, y, xx, yy):
 
 # A batch of constant vectors is scored max(1, BATCH_ELEMENTS // data.n) rows
 # at a time on an n-point mesh.  This bounds every array of a batch, the
-# values an expression's program keeps live in each worker thread included.
+# values an expression's program keeps live included.
 BATCH_ELEMENTS = 8192
 
 
@@ -320,14 +320,21 @@ class ScoringPlan:
         """Whether the gate rejects ``g``, per row of a batch.
 
         A faulting row is rejected whatever its mean, so once every row has
-        faulted the flags decide without ``|g|`` and its mean.
+        faulted the flags decide without ``|g|`` and its mean.  A row with
+        stride 0 holds one value, so its ``|g|`` is that value's magnitude
+        with stride 0 too, whose pairwise sum has the bits of the same sum
+        over a contiguous array.
         """
         fault = g.fault  # a bool for one vector, one flag per row of a batch
         if fault is True:
             return np.True_
         if fault is not False and fault.all():
             return fault
-        magnitude = np.abs(g.values, out=scratch(g.values.shape))
+        values = g.values
+        if values.strides[-1] == 0:
+            magnitude = np.broadcast_to(np.abs(values[..., :1]), values.shape)
+        else:
+            magnitude = np.abs(values, out=scratch(values.shape))
         return fault | (_mean(magnitude) < self.config.threshold)
 
     def _gate(self, data: Dataset, consts, rows=None):

@@ -1,24 +1,28 @@
-"""Six fixed-depth expression-search algorithms with multi-threaded execution.
+"""Six fixed-depth expression-search algorithms, run by one or more workers.
 
 Every worker runs an independent instance of the configured algorithm with a
-derived seed; all workers share one :class:`SharedState` holding the
-best-so-far result and the fitted-constant cache.  The PSO search and the
-constant fit drive a swarm pass the same way: the search scores one particle
-at a time, and the fit scores the rest of a pass in one batched call and moves
-again only the particles after one that improves the global best, so both end
-where scoring one particle at a time ends.  A worker's scoring call is the one
-place a run stops, so the algorithm loops never test for the end of the run:
-on a stop request, a passed deadline or a spent evaluation cap, the next
-candidate is not scored and the worker ends.  The concurrent variant of MCTS
-additionally shares its visit/score statistics and breaks ties among unvisited
-actions at random so threads fan out over different branches.
+derived seed.  A run's workers run one after another on the calling thread,
+each with a fixed share of the evaluation cap and of the time budget, so a
+run with a cap repeats bit for bit at any worker count; all workers share
+one :class:`SharedState` holding the best-so-far result and the
+fitted-constant cache.  The PSO search and the constant fit drive a swarm
+pass the same way: the search scores one particle at a time, and the fit
+scores a pass in batched chunks, stops taking them at a particle that
+improves the global best and moves again only the particles after it, so
+both end where scoring one particle at a time ends.  A worker's scoring call
+is the one place a run stops, so the algorithm loops never test for the end
+of the run: on a stop request, a passed deadline or a spent share of the
+cap, the next candidate is not scored and the worker ends.  The concurrent
+variant of MCTS additionally shares its visit/score statistics, so a later
+worker starts from what the earlier ones learnt, and breaks ties among
+unvisited actions at random so workers fan out over different branches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -39,6 +43,7 @@ from .expr import (
     token_path_depths,
 )
 from .pde import (
+    BATCH_ELEMENTS,
     TOKEN_MODES,
     MseBreakdown,
     ObjectiveConfig,
@@ -90,6 +95,10 @@ SA_STALL_REHEAT = 2000
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One search.  ``threads`` is the worker count: :func:`run_search`
+    runs the workers one after another, each with a fixed share of
+    ``max_evals`` and of ``time_budget``."""
+
     algorithm: str
     depth: int
     notation: Notation
@@ -137,37 +146,25 @@ class SearchResult:
 
 
 class SharedState:
-    """State shared by all workers of one run.
+    """State the workers of one run hand on to each other.
 
-    An evaluation is counted when a worker claims it, under the lock, so a
-    run never scores more than its cap.  The best-so-far update is a
-    compare-and-swap under the same lock, so its MSE is monotone
-    non-increasing.  The constant cache is write-once per key in
-    effect: fits are deterministic given the key, so a racing second writer
-    stores the same value.  The concurrent-MCTS statistics are updated without
-    locking; lost increments are harmless, the dictionaries themselves stay
-    consistent under the interpreter lock.  There are two, N(s,a) and Q(s,a);
-    N(s) is derived from N(s,a), so no third map can disagree with them.
+    The best-so-far is replaced only by a strictly lower total, so its MSE
+    is monotone non-increasing.  The constant cache maps an expression key
+    to its fitted constants, which the key alone decides.  The
+    concurrent-MCTS statistics are two maps, N(s,a) and Q(s,a); N(s) is
+    derived from N(s,a), so no third map can disagree with them.  ``stop``
+    is set once a candidate reaches ``stop_below``, and no worker scores
+    after it.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.best_total = math.inf
         self.best: Optional[tuple[str, Expr, tuple[float, ...], MseBreakdown]] = None
-        self.evaluations = 0
         self.const_cache: dict[str, tuple[float, ...]] = {}
-        self.stop = threading.Event()
+        self.stop = False
         # concurrent-MCTS maps: N(s,a), Q(s,a)
         self.action_visits: dict[tuple[str, str], int] = {}
         self.action_value: dict[tuple[str, str], float] = {}
-
-    def claim(self, cap: Optional[int]) -> bool:
-        """Count one evaluation, unless ``cap`` evaluations are counted already."""
-        with self._lock:
-            if cap is not None and self.evaluations >= cap:
-                return False
-            self.evaluations += 1
-            return True
 
     def offer(
         self,
@@ -176,19 +173,17 @@ class SharedState:
         consts: tuple[float, ...],
         breakdown: MseBreakdown,
     ) -> bool:
-        with self._lock:
-            if self.best is None or breakdown.total < self.best_total:
-                self.best_total = breakdown.total
-                self.best = (key, expr, consts, breakdown)
-                return True
-            return False
+        if self.best is None or breakdown.total < self.best_total:
+            self.best_total = breakdown.total
+            self.best = (key, expr, consts, breakdown)
+            return True
+        return False
 
     def cache_get(self, key: str):
         return self.const_cache.get(key)
 
     def cache_put(self, key: str, consts: tuple[float, ...]) -> None:
-        with self._lock:
-            self.const_cache[key] = consts
+        self.const_cache[key] = consts
 
 
 class Swarm:
@@ -294,8 +289,10 @@ def fit_constants(
 ) -> tuple[float, ...]:
     """Fit the learnable-constant slots of ``e`` by a short PSO run.
 
-    Each swarm call scores the rest of a pass in one
-    :meth:`~padesr.pde.ScoringPlan.totals` call against one plan, ``plan``
+    The swarm's positions are scored against one plan in chunks of
+    ``max(1, BATCH_ELEMENTS // data.n)``, one batch of
+    :meth:`~padesr.pde.ScoringPlan.totals` each, and no more chunks are
+    taken once a particle improves the global best.  The plan is ``plan``
     when given (a plan of ``e`` under ``config.objective``), so ``e`` is
     differentiated once per fit, and once in all when the caller scores the
     fitted vector against the same plan.  When the derivatives of ``e`` show that
@@ -303,7 +300,7 @@ def fit_constants(
     :meth:`~padesr.pde.ScoringPlan.rejects_every_vector`), no particle can
     score finite and the fit returns the first drawn position unscored, as
     the full run would.  Results are cached in the shared state under the
-    expression key; the fit seed is derived from the key so every thread
+    expression key; the fit seed is derived from the key so every worker
     computes the same vector.
     """
     if e.n_slots == 0:
@@ -318,8 +315,13 @@ def fit_constants(
     if plan.rejects_every_vector():
         best = Swarm(e.n_slots, CONST_FIT_SWARM, rng).gbest
     else:
-        best, _ = pso_minimize(lambda rest: plan.totals(case, data, list(rest)).tolist(),
-                               e.n_slots, rng)
+        step = max(1, BATCH_ELEMENTS // data.n)  # the batch ``totals`` scores at once
+
+        def scores(rest: Iterator[list[float]]) -> Iterator[float]:
+            while chunk := list(itertools.islice(rest, step)):
+                yield from plan.totals(case, data, chunk).tolist()
+
+        best, _ = pso_minimize(scores, e.n_slots, rng)
     consts = tuple(best)
     shared.cache_put(key, consts)
     return consts
@@ -367,11 +369,14 @@ class _Stop(Exception):
 
 
 class _Worker:
-    """One worker of a run: the run's inputs, the shared state, its own random
-    stream, its deadline and its improvement log.
+    """Worker ``index`` of a run: the run's inputs, the shared state, its own
+    random stream, its share of the cap and the budget and its improvement log.
 
-    :meth:`score` is the one stop check; an algorithm loop runs until it
-    raises :class:`_Stop`.
+    Of ``n = config.threads`` workers, it scores at most ``share``
+    candidates, ``max_evals // n`` plus one when ``index < max_evals % n``
+    (None without a cap), and none at or past ``deadline``, ``start +
+    time_budget * (index + 1) / n``.  :meth:`score` is the one stop check; an
+    algorithm loop runs until it raises :class:`_Stop`.
     """
 
     def __init__(self, config: SearchConfig, case: PdeCase, data: Dataset,
@@ -382,21 +387,22 @@ class _Worker:
         self.alphabet = alphabet
         self.shared = shared
         self.start = start
-        self.deadline = start + config.time_budget
+        n, cap = config.threads, config.max_evals
+        self.deadline = start + config.time_budget * (index + 1) / n
+        self.share = None if cap is None else cap // n + (index < cap % n)
+        self.evaluations = 0
         self.rng = random.Random(_mix(config.seed, index))
         self.log: list[tuple[float, float]] = []  # (seconds, total) per own improvement
-        self.error: Optional[Exception] = None
 
     def score(self, e: Expr) -> MseBreakdown:
-        """Claim one evaluation and score ``e``; raises :class:`_Stop` in place
-        of scoring once the run is stopped, the deadline has passed or
-        ``max_evals`` evaluations are claimed.  A fit and the score of its
-        vector share one :class:`~padesr.pde.ScoringPlan`, so ``e`` is
-        differentiated once."""
+        """Count one evaluation and score ``e``; raises :class:`_Stop` in place
+        of scoring once the run is stopped, the deadline has passed or the
+        worker's share is scored.  A fit and the score of its vector share one
+        :class:`~padesr.pde.ScoringPlan`, so ``e`` is differentiated once."""
         cfg, shared = self.config, self.shared
-        if (shared.stop.is_set() or time.monotonic() >= self.deadline
-                or not shared.claim(cfg.max_evals)):
+        if shared.stop or time.monotonic() >= self.deadline or self.evaluations == self.share:
             raise _Stop
+        self.evaluations += 1
         plan = ScoringPlan(e, cfg.objective)
         consts: tuple[float, ...] = ()
         if e.n_slots:
@@ -406,7 +412,7 @@ class _Worker:
         if not self.log or breakdown.total < self.log[-1][1]:
             self.log.append((time.monotonic() - self.start, breakdown.total))
         if cfg.stop_below is not None and breakdown.total <= cfg.stop_below:
-            shared.stop.set()
+            shared.stop = True
         return breakdown
 
     def random_expr(self) -> Expr:
@@ -418,9 +424,6 @@ class _Worker:
             _ALGORITHM_LOOPS[self.config.algorithm](self)
         except _Stop:
             pass
-        except Exception as err:  # ends the run; run_search re-raises it
-            self.error = err
-            self.shared.stop.set()
 
 
 def _mutate_span(rng: random.Random, e: Expr, budget: int, alphabet: Alphabet) -> Expr:
@@ -603,35 +606,36 @@ ALGORITHMS = tuple(_ALGORITHM_LOOPS)
 
 def run_search(config: SearchConfig, case: PdeCase, data: Dataset) -> SearchResult:
     """Run the configured search; returns the best expression found in budget.
-    An exception in any worker stops the others and is raised here."""
+
+    Workers 0 to ``config.threads - 1`` run one after another on this
+    thread, each to its share of the cap or its deadline (see
+    :class:`_Worker`), so time a worker leaves unused passes to the next.  A
+    worker with a share of 0 is not run, none runs once ``stop_below`` is
+    reached, and an exception in a worker is raised here before the next
+    one starts.  ``improvements`` holds every worker's log in time order.
+    """
     alphabet = case_alphabet(case, config.token_mode)
     shared = SharedState()
     start = time.monotonic()
-    workers = [_Worker(config, case, data, alphabet, shared, start, i)
-               for i in range(config.threads)]
-    if config.threads == 1:
-        workers[0].run()
-    else:
-        threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-    for w in workers:
-        if w.error is not None:
-            raise w.error
+    workers = []
+    for index in range(config.threads):
+        worker = _Worker(config, case, data, alphabet, shared, start, index)
+        if shared.stop or worker.share == 0:  # later shares are no larger
+            break
+        workers.append(worker)
+        worker.run()
     elapsed = time.monotonic() - start
-    improvements = tuple(sorted(entry for w in workers for entry in w.log))
+    evaluations = sum(w.evaluations for w in workers)
+    improvements = tuple(entry for w in workers for entry in w.log)
     if shared.best is None:
-        return SearchResult(None, None, (), elapsed, shared.evaluations, config,
-                            improvements)
+        return SearchResult(None, None, (), elapsed, evaluations, config, improvements)
     _, expr, consts, breakdown = shared.best
     return SearchResult(
         expr=expr,
         breakdown=breakdown,
         consts=consts,
         elapsed=elapsed,
-        evaluations=shared.evaluations,
+        evaluations=evaluations,
         config=config,
         improvements=improvements,
     )

@@ -24,8 +24,11 @@ from padesr.search import (
 )
 
 
-def fit_constants_oracle(e, case, data, config):
-    """(constants, passes in which gbest improved before the last particle)."""
+def fit_constants_oracle(e, case, data, config, breaks=None):
+    """(constants, passes in which gbest improved before the last particle).
+
+    ``breaks``, when given, gets the ``(pass, particle)`` of each such
+    improvement."""
     rng = random.Random(_mix(config.seed, _key_salt(e.key)))
     plan = ScoringPlan(e, config.objective)
     dim, size = e.n_slots, CONST_FIT_SWARM
@@ -57,4 +60,6 @@ def fit_constants_oracle(e, case, data, config):
                 gbest, gbest_f = list(p), f
                 if step >= size and i < size - 1:
                     mid_pass += 1
+                    if breaks is not None:
+                        breaks.append((step // size, i))
     return tuple(gbest), mid_pass

@@ -57,7 +57,7 @@ def traced_search(monkeypatch, case1, token_mode, max_evals, threads):
 
 
 def test_traffic_spans_every_scoring_layer(monkeypatch, case1):
-    for threads in (1, 2):  # 2 workers score on their own threads
+    for threads in (1, 2):  # 2 workers score one after another
         summary = traced_search(monkeypatch, case1, "vars+const", 5, threads)
         for name in ("pde.objective", "symdiff.differentiate", "evaluate.eval_grid",
                      "search.offer"):

@@ -740,7 +740,9 @@ def test_scoring_never_hands_out_a_live_grid(case1, alpha1_opt, monkeypatch, sma
     cfg = ObjectiveConfig(threshold=0.0)
     previous = None
     kept_by_gate = 0
-    for i in range(120):
+    # a constant grid's |g| takes no buffer, so it takes 200 candidates to
+    # hand out more than 1,000
+    for i in range(200):
         e = sample_complete(rng, NOTATIONS[i % 2], 4, alpha1_opt)
         plan = ScoringPlan(e, cfg)
         if e.n_slots:

@@ -816,3 +816,90 @@ def test_the_literal_zero_rule_decides_its_cases(case1, alpha1_opt, monkeypatch,
     tested.clear()
     objective(e, case, data, consts, ObjectiveConfig(threshold=0.0, ic_derivatives="data"))
     assert any(g.values.strides == (0,) and not g.values.any() for g in tested)
+
+
+# ---------------------------------------------------------------------------
+# the gate on a constant grid: |value| with stride 0, reduced as it stands
+
+_STRIDE0_SIZES = (999, 1_000, 1_331, 2_500, 8_000, 16_384, 125_000)
+
+
+def _stride0_values():
+    """304 magnitudes: the threshold and its neighbours, then seeded draws."""
+    h = pde.DEFAULT_THRESHOLD
+    near = [h, np.nextafter(h, 0.0), np.nextafter(h, 1.0), -h, 2.0, 0.1, 1 / 3, math.pi,
+            1e-300, 1e300]
+    rng = random.Random(2128)
+    return (near + [rng.uniform(-10.0, 10.0) for _ in range(200)]
+            + [rng.lognormvariate(0.0, 5.0) for _ in range(94)])
+
+
+def test_a_constant_magnitude_sums_as_a_contiguous_one():
+    # the gate's mean of a stride-0 |g| against the same mean over a
+    # contiguous array of the value, for one vector and for a batch's rows
+    values = _stride0_values()
+    assert len(values) * len(_STRIDE0_SIZES) == 2_128
+    for n in _STRIDE0_SIZES:
+        for value in values:
+            magnitude = abs(np.float64(value))
+            strided = np.ndarray((n,), np.float64, magnitude, 0, (0,))
+            contiguous = np.full(n, magnitude)
+            assert pde._mean(strided).tobytes() == pde._mean(contiguous).tobytes(), (value, n)
+        column = np.abs(np.array(values[:40]).reshape(-1, 1))
+        strided = np.broadcast_to(column, (40, n))
+        assert strided.strides == (8, 0)
+        contiguous = np.ascontiguousarray(strided)
+        assert pde._mean(strided).tobytes() == pde._mean(contiguous).tobytes(), n
+
+
+# postfix, parsed in free mode: dT/dx (and dT/dy or dT/dt) is a constant, a
+# literal value, one C or a product of two
+_CONSTANT_SLOPE_CASES = (
+    "2 x * y 0.5 * + t +",  # 2, then 0.5 below the default threshold
+    "C x * y + C t * +",  # C at x and at t
+    "x C C * * y + t +",  # C C * at x
+    "x 4 sqrt * t * y +",  # 4 sqrt at x, then x 4 sqrt * at t
+)
+
+
+def test_the_gate_reads_a_constant_grid_as_its_contiguous_copy(case1, alpha1_opt, monkeypatch):
+    # constants next to the threshold, scored one vector at a time and as a
+    # batch, give each gate decision and each total's bytes that the same
+    # grids give once copied into contiguous arrays, the path every other
+    # grid takes
+    case, data = case1
+    h = pde.DEFAULT_THRESHOLD
+    consts = (h, np.nextafter(h, 0.0), np.nextafter(h, 1.0), -h, math.sqrt(h), 2.0, 1e-3)
+    real_eval, real_miss = pde.eval_grid, ScoringPlan._gate_miss
+    decisions, strided = [], set()
+
+    def recorded_miss(plan, g):
+        miss = real_miss(plan, g)
+        decisions.append(miss.tolist())
+        if g.values.strides[-1] == 0:
+            strided.add(g.values.ndim)
+        return miss
+
+    def scores():
+        decisions.clear()
+        out = []
+        for text in _CONSTANT_SLOPE_CASES:
+            e = parse(text, Notation.POSTFIX, alpha1_opt, mode="free")
+            vectors = np.array([[c] * e.n_slots for c in consts]).reshape(len(consts), e.n_slots)
+            plan = ScoringPlan(e)
+            out.append(([plan.score(case, data, v) for v in vectors],
+                        ScoringPlan(e).totals(case, data, vectors).tobytes()))
+        return out, list(decisions)
+
+    monkeypatch.setattr(ScoringPlan, "_gate_miss", recorded_miss)
+    got = scores()
+    assert strided == {1, 2}  # the stride-0 path ran for a vector and for a batch
+    monkeypatch.setattr(pde, "eval_grid",
+                        lambda *args: dataclasses.replace(g := real_eval(*args),
+                                                          values=np.array(g.values)))
+    strided.clear()
+    want = scores()
+    assert strided == set()
+    assert got == want
+    rejected = [bd.gate_rejected for scored, _ in got[0] for bd in scored]
+    assert any(rejected) and not all(rejected)

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
 import time
 
 import pytest
@@ -117,10 +116,12 @@ def test_lazy_and_batch_sweeps_drive_one_swarm(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pso_stopped_inside_a_moving_pass_scores_its_cap(case1, threads):
+    # each worker's share, 75, ends inside its swarm's second pass
     case, data = case1
     assert PSO_SWARM < 75 < 2 * PSO_SWARM
-    result = run_search(quick_config("pso", max_evals=75, threads=threads), case, data)
-    assert result.evaluations == 75
+    result = run_search(quick_config("pso", max_evals=75 * threads, threads=threads),
+                        case, data)
+    assert result.evaluations == 75 * threads
 
 
 def test_fit_constants_no_slots_no_cache(case1, alpha1):
@@ -236,7 +237,8 @@ def test_fit_of_a_c_free_gate_miss_runs_the_swarm_to_the_same_result(
     # dT/dx is the C-free 0.001, below the default threshold without being
     # the literal 0, and dT/dy and dT/dt hold the C: the early exit leaves it
     # to the swarm, whose every total is inf, so the fit returns the first
-    # drawn position as the oracle does
+    # drawn position as the oracle does; no total improves, so each pass takes
+    # every chunk of the batch size ``totals`` scores at once
     case, data = case1
     e = parse("x 0.001 * C y * t * +", Notation.POSTFIX, alpha1_opt, mode="free")
     cfg = quick_config("rs", seed=5)
@@ -251,7 +253,9 @@ def test_fit_of_a_c_free_gate_miss_runs_the_swarm_to_the_same_result(
 
     monkeypatch.setattr(ScoringPlan, "totals", recording)
     assert fit_constants(e, case, data, SharedState(), cfg) == want
-    assert len(passes) == CONST_FIT_ITERATIONS + 1
+    step = max(1, BATCH_ELEMENTS // data.n)
+    assert len(passes) == (CONST_FIT_ITERATIONS + 1) * math.ceil(CONST_FIT_SWARM / step) == 18
+    assert [len(p) for p in passes[:3]] == [8, 8, 4]
     assert all(total == math.inf for p in passes for total in p)
 
 
@@ -270,13 +274,26 @@ def fit_corpus(alphabet, count):
     return corpus
 
 
+def chunk_calls(breaks, step):
+    """The ``totals`` calls of a fit whose passes take chunks of ``step``
+    positions, handing the rest of a pass again after each of ``breaks``."""
+    calls = 0
+    for p in range(CONST_FIT_ITERATIONS + 1):
+        starts = [0] + [i + 1 for q, i in breaks if q == p]
+        ends = starts[1:] + [CONST_FIT_SWARM]
+        calls += sum(math.ceil((end - start) / step) for start, end in zip(starts, ends))
+    return calls
+
+
 def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatch,
                                                   block_sizes):
-    # the oracle scores one particle at a time; the fit scores the rest of a
-    # pass per call and moves again past the first particle improving gbest;
-    # under the small block size every grid runs as several blocks, and a
-    # row that faults early does not stop the rows still in play
+    # the oracle scores one particle at a time; the fit scores a pass in
+    # chunks of the batch size ``totals`` scores at once, and past the first
+    # particle improving gbest moves the rest of the pass again; under the
+    # small block size every grid runs as several blocks, and a row that
+    # faults early does not stop the rows still in play
     case, data = case1
+    step = max(1, BATCH_ELEMENTS // data.n)
     calls = []
     totals = ScoringPlan.totals
 
@@ -288,15 +305,18 @@ def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatc
     for _ in block_sizes:
         replanned = decided_by_gate = 0
         for e, cfg in fit_corpus(alpha1_opt, 240):
-            want, mid_pass = fit_constants_oracle(e, case, data, cfg)
+            breaks = []
+            want, mid_pass = fit_constants_oracle(e, case, data, cfg, breaks)
             calls.append(0)
             assert fit_constants(e, case, data, SharedState(), cfg) == want, e
             if ScoringPlan(e, cfg.objective).rejects_every_vector():
                 assert calls[-1] == 0 and mid_pass == 0
                 decided_by_gate += 1
             else:
-                # one call per pass, and one more after each mid-pass improvement
-                assert calls[-1] == CONST_FIT_ITERATIONS + 1 + mid_pass
+                # the chunks of each pass, taken afresh after each mid-pass
+                # improvement, and none past one
+                assert len(breaks) == mid_pass
+                assert calls[-1] == chunk_calls(breaks, step), e
                 replanned += mid_pass > 0
         assert replanned >= 20 and decided_by_gate == 157
 
@@ -557,12 +577,7 @@ def test_all_algorithms_produce_valid_candidates(case1):
 
 def test_multithreaded_run_and_empty_marker(case1):
     case, data = case1
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch often, so a check-then-act race shows
-    try:
-        result = run_search(quick_config("rs", threads=4, max_evals=100), case, data)
-    finally:
-        sys.setswitchinterval(interval)
+    result = run_search(quick_config("rs", threads=4, max_evals=100), case, data)
     assert not result.empty
     assert result.evaluations == 100
     empty = run_search(quick_config("rs", max_evals=0), case, data)
@@ -584,6 +599,112 @@ def test_two_workers_end_at_exact_cap(case1, algo):
         cfg = quick_config(algo, depth=3, threads=2, max_evals=30, token_mode=token_mode)
         result = run_search(cfg, case, data)
         assert result.evaluations == 30, token_mode
+
+
+# ---------------------------------------------------------------------------
+# the serial backend: workers one after another, each with a fixed share
+
+
+def recorded_workers(monkeypatch):
+    """The workers ``run_search`` runs, in the order it runs them."""
+    workers = []
+    run = _Worker.run
+
+    def recording(w):
+        workers.append(w)
+        run(w)
+
+    monkeypatch.setattr(_Worker, "run", recording)
+    return workers
+
+
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_capped_runs_of_several_workers_repeat_bit_for_bit(case1, monkeypatch, threads):
+    # every candidate each run scores, in order, and what the run returns
+    case, data = case1
+    scored = []
+    score = _Worker.score
+
+    def recording(w, e):
+        breakdown = score(w, e)
+        scored[-1].append((e.key, breakdown))
+        return breakdown
+
+    monkeypatch.setattr(_Worker, "score", recording)
+
+    def run(cfg):
+        scored.append([])
+        return run_search(cfg, case, data)
+
+    for algo in ALGORITHMS:
+        cfg = quick_config(algo, depth=3, threads=threads, max_evals=61,
+                           token_mode="vars+const+opt")
+        a, b = run(cfg), run(cfg)
+        assert scored[-2] == scored[-1], algo
+        assert a.expr == b.expr and a.consts == b.consts, algo
+        assert a.breakdown == b.breakdown and a.evaluations == b.evaluations == 61, algo
+        assert [m for _, m in a.improvements] == [m for _, m in b.improvements], algo
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_each_worker_scores_its_share_of_the_cap(case1, monkeypatch, threads):
+    case, data = case1
+    for cap in (0, 1, 2, 4, 7, 30):
+        workers = recorded_workers(monkeypatch)
+        result = run_search(quick_config("rs", threads=threads, max_evals=cap), case, data)
+        shares = [cap // threads + (i < cap % threads) for i in range(threads)]
+        assert sum(shares) == cap == result.evaluations
+        # a worker with a share of 0 is not run
+        assert [(w.share, w.evaluations) for w in workers] == [(s, s) for s in shares if s]
+
+
+def test_a_stop_in_the_first_worker_leaves_the_others_unrun(case1, monkeypatch):
+    case, data = case1
+    workers = recorded_workers(monkeypatch)
+    cfg = quick_config("rs", depth=1, threads=3, max_evals=300, stop_below=1e12,
+                       objective=ObjectiveConfig(threshold=0.0))
+    result = run_search(cfg, case, data)
+    assert len(workers) == 1 and result.evaluations == workers[0].evaluations < 100
+
+
+def test_an_exception_in_the_first_worker_is_raised_before_the_next_starts(
+        case1, monkeypatch):
+    case, data = case1
+    workers = recorded_workers(monkeypatch)
+    calls = itertools.count(1)
+
+    def failing(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("scoring failed")
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr("padesr.search.objective", failing)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        run_search(quick_config("rs", threads=2, max_evals=20), case, data)
+    assert len(workers) == 1 and workers[0].evaluations == 3
+
+
+@pytest.mark.parametrize("threads, budget", [(1, 10.0), (2, 10.0), (3, 10.0), (4, 2.5)])
+def test_each_worker_stops_at_its_share_of_the_budget(case1, monkeypatch, threads, budget):
+    # the clock reads the number of candidates scored so far, so worker i
+    # scores those that start before budget * (i + 1) / threads
+    case, data = case1
+    clock = [0.0]
+
+    def ticking(*args, **kwargs):
+        clock[0] += 1.0
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(search, "time", type("Clock", (), {"monotonic": lambda: clock[0]}))
+    monkeypatch.setattr(search, "objective", ticking)
+    workers = recorded_workers(monkeypatch)
+    result = run_search(quick_config("rs", threads=threads, time_budget=budget,
+                                     max_evals=None), case, data)
+    deadlines = [budget * (i + 1) / threads for i in range(threads)]
+    assert [w.deadline for w in workers] == deadlines
+    scored = [math.ceil(d) for d in deadlines]
+    assert [w.evaluations for w in workers] == [b - a for a, b in zip([0] + scored, scored)]
+    assert result.evaluations == math.ceil(budget)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
