@@ -16,9 +16,11 @@ derivatives, taken as the gate reaches them, and the grids of derivatives
 without a learnable constant.  Fitting constants scores every candidate vector
 against one plan, and a search scores the fitted vector against the same
 plan, so an expression is differentiated once per fit and score, and
-:meth:`ScoringPlan.totals` scores a batch of vectors in one evaluation per
-grid: a ``C`` reads a column of the batch, each term is reduced per row, and
-every row's total has the bits :meth:`ScoringPlan.score` gives that vector.
+:meth:`ScoringPlan.totals` scores any iterable of vectors lazily, in batches
+whose size this module alone decides: a batch is taken when its first total
+is asked for and scored in one evaluation per grid, where a ``C`` reads a
+column of the batch and each term is reduced per row, and every total has
+the bits :meth:`ScoringPlan.score` gives that vector.
 :meth:`ScoringPlan.rejects_every_vector` tells a fit there is nothing to fit,
 from the derivatives alone: a first derivative that is the literal ``0`` at a
 positive threshold, or an order error.  The gate applies the same rules, and
@@ -43,10 +45,11 @@ fresh arrays give.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -283,9 +286,9 @@ class ScoringPlan:
     again on every later request.  The grid of a derived expression without a
     ``C`` token is kept, one per dataset, so scoring many constant vectors
     evaluates it once.  :meth:`score` scores one vector; :meth:`totals`
-    scores a batch of them, a row per vector, with the same operations on
-    each row.  A plan caches without a lock: build one per worker and
-    expression.
+    scores a stream of them a batch at a time, a row per vector, with the
+    same operations on each row.  A plan caches without a lock: build one
+    per worker and expression.
     """
 
     def __init__(self, T: Expr, config: Optional[ObjectiveConfig] = None):
@@ -347,21 +350,13 @@ class ScoringPlan:
         ``consts``, whose row indices ``rows`` holds, each variable drops the
         rows it rejects, so later scans evaluate only the rows still in play:
         the returned ``rows`` indexes the rows that passed, and the 2-D grids
-        hold those rows alone.  An order error, if any, is met at x: d/dx and
-        d/dy fail on the same leaves.  It evaluates no grid, nor does a ``T``
-        that :meth:`_t_free` names unless its dT/dx is the literal ``0``.  A
-        variable :meth:`_zero_at` names rejects after its grid is made, an
-        O(1) constant, but without a pass over it.
+        hold those rows alone.  A rejection :meth:`_decided` gives evaluates
+        no grid.  A variable :meth:`_zero_at` names rejects after its grid is
+        made, an O(1) constant, but without a pass over it.
         """
-        try:
-            self._derivative("x")  # d/dy fails on the same leaves, d/dt on none
-        except DerivativeOrderError as err:
-            return str(err), None, rows
-        # bench/run.py names the variable that rejected by counting eval_grid
-        # calls and books a rejection with none at t, the variable that
-        # decides here; a literal-0 dT/dx is left to the walk, booked at x.
-        if self._t_free() and not self._zero_at("x"):
-            return "", None, rows
+        note = self._decided()
+        if note is not None:
+            return note, None, rows
         grids: dict[str, np.ndarray] = {}
         for v in ("x", "y", "t"):
             g = self._grid(v, data, consts)
@@ -378,6 +373,24 @@ class ScoringPlan:
                 consts, rows = consts[keep], rows[keep]
                 grids = {u: a[keep] if a.ndim == 2 else a for u, a in grids.items()}
         return "", grids, rows
+
+    def _decided(self) -> Optional[str]:
+        """The gate's verdict before any grid, the same for every vector.
+
+        The order error's note when d/dx meets one (d/dy fails on the same
+        leaves, d/dt on none); ``""`` when :meth:`_t_free` holds and dT/dx is
+        not the literal ``0``; None when the grids must decide.
+        bench/run.py names the variable that rejected by counting eval_grid
+        calls and books a rejection with none at t, the variable that decides
+        here; a literal-``0`` dT/dx is left to the walk, booked at x.
+        """
+        try:
+            self._derivative("x")
+        except DerivativeOrderError as err:
+            return str(err)
+        if self._t_free() and not self._zero_at("x"):
+            return ""
+        return None
 
     def _zero_at(self, v: str) -> bool:
         """Whether the threshold is positive and dT/dv is the literal ``0``.
@@ -404,18 +417,14 @@ class ScoringPlan:
         """Whether the gate rejects ``T`` whatever its constants are, read
         from its derivatives alone, without evaluating a grid.
 
-        True when d/dx meets an order error, when :meth:`_t_free` holds, or
-        when :meth:`_zero_at` holds for x, y or t (tested in that order, up
-        to the first that does), so a ``T`` without ``t`` takes dT/dx alone.
+        True when :meth:`_decided` gives a verdict, or when :meth:`_zero_at`
+        holds for x, y or t (tested in that order, up to the first that
+        does), so a ``T`` without ``t`` takes dT/dx alone.
         False otherwise, also where a ``C``-free grid fails the gate, which
         scoring then rejects on every row.  The first derivatives are taken
         through the plan, so scoring takes none again.
         """
-        try:
-            self._derivative("x")  # d/dy fails on the same leaves, d/dt on none
-        except DerivativeOrderError:
-            return True
-        return self._t_free() or any(self._zero_at(v) for v in "xyt")
+        return self._decided() is not None or any(self._zero_at(v) for v in "xyt")
 
     def _components(self, case: PdeCase, data: Dataset, grids: Mapping[str, np.ndarray],
                     consts) -> tuple:
@@ -460,24 +469,26 @@ class ScoringPlan:
         return MseBreakdown(interior, boundary, initial, _sum(interior, boundary, initial),
                             False)
 
-    def totals(self, case: PdeCase, data: Dataset, vectors) -> np.ndarray:
-        """``score(case, data, v).total`` for every row ``v`` of the ``(m, k)``
-        matrix ``vectors``, bit for bit.
+    def totals(self, case: PdeCase, data: Dataset,
+               vectors: Iterable[Sequence[float]]) -> Iterator[float]:
+        """``score(case, data, v).total`` for every vector ``v`` of
+        ``vectors``, in order and bit for bit.
 
-        Rows are scored ``max(1, BATCH_ELEMENTS // data.n)`` at a time, so no
-        array of a batch outgrows ``BATCH_ELEMENTS`` on the mesh or a plane.
+        Vectors are taken ``max(1, BATCH_ELEMENTS // data.n)`` at a time, a
+        batch when its first total is asked for, and scored as the rows of
+        one matrix, so no array of a batch outgrows ``BATCH_ELEMENTS`` on the
+        mesh or a plane, and a caller that stops asking takes no more.
         """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        out = np.full(len(vectors), math.inf)
+        vectors = iter(vectors)
         step = max(1, BATCH_ELEMENTS // data.n)
-        with np.errstate(all="ignore"):
-            for start in range(0, len(vectors), step):
-                chunk = vectors[start:start + step]
+        while batch := list(itertools.islice(vectors, step)):
+            chunk = np.asarray(batch, dtype=np.float64)
+            out = np.full(len(chunk), math.inf)
+            with np.errstate(all="ignore"):
                 _, grids, rows = self._gate(data, chunk, np.arange(len(chunk)))
                 if grids is not None:
-                    terms = self._components(case, data, grids, chunk[rows])
-                    out[start + rows] = _sum(*terms)
-        return out
+                    out[rows] = _sum(*self._components(case, data, grids, chunk[rows]))
+            yield from out.tolist()
 
 
 def _sum(interior, boundary, initial):

@@ -5,22 +5,24 @@ derived seed.  A run's workers run one after another on the calling thread,
 each with a fixed share of the evaluation cap and of the time budget, so a
 run with a cap repeats bit for bit at any worker count; all workers share
 one :class:`SharedState` holding the best-so-far result and the
-fitted-constant cache.  The PSO search and the constant fit drive a swarm
-pass the same way: the search scores one particle at a time, and the fit
-scores a pass in batched chunks, stops taking them at a particle that
-improves the global best and moves again only the particles after it, so
-both end where scoring one particle at a time ends.  A worker's scoring call
-is the one place a run stops, so the algorithm loops never test for the end
-of the run: on a stop request, a passed deadline or a spent share of the
-cap, the next candidate is not scored and the worker ends.  The concurrent
-variant of MCTS additionally shares its visit/score statistics, so a later
-worker starts from what the earlier ones learnt, and breaks ties among
-unvisited actions at random so workers fan out over different branches.
+fitted-constant cache.  The PSO search and the constant fit each drive one
+:class:`Swarm` the same way: a pass hands the rest of its positions to a
+scoring function that yields their totals in order, the search's one
+particle at a time and the fit's :meth:`~padesr.pde.ScoringPlan.totals` a
+batch at a time, stops asking at a particle that improves the global best
+and hands the particles after it again, so both end where scoring one
+particle at a time ends.  A worker's scoring call is the one place a run
+stops, so the algorithm loops never test for the end of the run: on a stop
+request, a passed deadline or a spent share of the cap, the next candidate
+is not scored and the worker ends.  The concurrent variant of MCTS
+additionally shares its visit/score statistics, so a later worker starts
+from what the earlier ones learnt, and breaks ties among unvisited actions
+at random so workers fan out over different branches.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 import time
@@ -43,7 +45,6 @@ from .expr import (
     token_path_depths,
 )
 from .pde import (
-    BATCH_ELEMENTS,
     TOKEN_MODES,
     MseBreakdown,
     ObjectiveConfig,
@@ -239,11 +240,12 @@ class Swarm:
 
         ``fn`` takes the rest of the pass as an iterator of positions, each
         particle moved when it is taken, and returns their scores in order:
-        a list scores them all at once, a generator one at a time.  Scores
-        are recorded in particle order up to the first that improves gbest;
-        the particles after it are handed to ``fn`` again, moved against the
-        new gbest.  A pass's random draws depend on no score, so they are
-        drawn first.
+        a list scores them all at once, a generator as they are asked for,
+        one at a time or, as :meth:`~padesr.pde.ScoringPlan.totals` does, a
+        batch at a time.  Scores are recorded in particle order up to the
+        first that improves gbest; the particles after it are handed to
+        ``fn`` again, moved against the new gbest.  A pass's random draws
+        depend on no score, so they are drawn first.
         """
         size = len(self.pos)
         moving = self.steps >= size
@@ -265,20 +267,6 @@ class Swarm:
                     break
 
 
-def pso_minimize(
-    fn: Callable[[Iterator[list[float]]], Iterable[float]],
-    dim: int,
-    rng: random.Random,
-) -> tuple[list[float], float]:
-    """Particle-swarm minimization of a black-box function: one scoring pass
-    over the drawn swarm, then ``CONST_FIT_ITERATIONS`` passes of updates.
-    ``fn`` scores the rest of a pass, as :meth:`Swarm.sweep` hands it."""
-    s = Swarm(dim, CONST_FIT_SWARM, rng)
-    for _ in range(CONST_FIT_ITERATIONS + 1):
-        s.sweep(fn)
-    return s.gbest, s.gbest_f
-
-
 def fit_constants(
     e: Expr,
     case: PdeCase,
@@ -287,21 +275,22 @@ def fit_constants(
     config: SearchConfig,
     plan: Optional[ScoringPlan] = None,
 ) -> tuple[float, ...]:
-    """Fit the learnable-constant slots of ``e`` by a short PSO run.
+    """Fit the learnable-constant slots of ``e`` by a short PSO run: one
+    :class:`Swarm` of ``CONST_FIT_SWARM`` particles, swept
+    ``CONST_FIT_ITERATIONS + 1`` times.
 
-    The swarm's positions are scored against one plan in chunks of
-    ``max(1, BATCH_ELEMENTS // data.n)``, one batch of
-    :meth:`~padesr.pde.ScoringPlan.totals` each, and no more chunks are
-    taken once a particle improves the global best.  The plan is ``plan``
+    Each pass hands its positions to :meth:`~padesr.pde.ScoringPlan.totals`,
+    which scores them against one plan a batch at a time, and takes no more
+    batches once a particle improves the global best.  The plan is ``plan``
     when given (a plan of ``e`` under ``config.objective``), so ``e`` is
     differentiated once per fit, and once in all when the caller scores the
-    fitted vector against the same plan.  When the derivatives of ``e`` show that
-    the gate rejects it whatever its constants are (see
+    fitted vector against the same plan.  When the derivatives of ``e`` show
+    that the gate rejects it whatever its constants are (see
     :meth:`~padesr.pde.ScoringPlan.rejects_every_vector`), no particle can
-    score finite and the fit returns the first drawn position unscored, as
-    the full run would.  Results are cached in the shared state under the
-    expression key; the fit seed is derived from the key so every worker
-    computes the same vector.
+    score finite and the swarm is not swept: the fit returns the first drawn
+    position, as the full run would.  Results are cached in the shared state
+    under the expression key; the fit seed is derived from the key so every
+    worker computes the same vector.
     """
     if e.n_slots == 0:
         return ()
@@ -310,19 +299,14 @@ def fit_constants(
     if cached is not None:
         return cached
     rng = random.Random(_mix(config.seed, _key_salt(key)))
+    swarm = Swarm(e.n_slots, CONST_FIT_SWARM, rng)
     if plan is None:
         plan = ScoringPlan(e, config.objective)
-    if plan.rejects_every_vector():
-        best = Swarm(e.n_slots, CONST_FIT_SWARM, rng).gbest
-    else:
-        step = max(1, BATCH_ELEMENTS // data.n)  # the batch ``totals`` scores at once
-
-        def scores(rest: Iterator[list[float]]) -> Iterator[float]:
-            while chunk := list(itertools.islice(rest, step)):
-                yield from plan.totals(case, data, chunk).tolist()
-
-        best, _ = pso_minimize(scores, e.n_slots, rng)
-    consts = tuple(best)
+    if not plan.rejects_every_vector():
+        scores = functools.partial(plan.totals, case, data)
+        for _ in range(CONST_FIT_ITERATIONS + 1):
+            swarm.sweep(scores)
+    consts = tuple(swarm.gbest)
     shared.cache_put(key, consts)
     return consts
 
@@ -625,17 +609,13 @@ def run_search(config: SearchConfig, case: PdeCase, data: Dataset) -> SearchResu
         workers.append(worker)
         worker.run()
     elapsed = time.monotonic() - start
-    evaluations = sum(w.evaluations for w in workers)
-    improvements = tuple(entry for w in workers for entry in w.log)
-    if shared.best is None:
-        return SearchResult(None, None, (), elapsed, evaluations, config, improvements)
-    _, expr, consts, breakdown = shared.best
+    _, expr, consts, breakdown = shared.best or (None, None, (), None)
     return SearchResult(
         expr=expr,
         breakdown=breakdown,
         consts=consts,
         elapsed=elapsed,
-        evaluations=evaluations,
+        evaluations=sum(w.evaluations for w in workers),
         config=config,
-        improvements=improvements,
+        improvements=tuple(entry for w in workers for entry in w.log),
     )

@@ -86,6 +86,15 @@ def test_evaluate_parse_error_exit_2(capsys):
     assert "token 3" in err
 
 
+def test_evaluate_mesh_of_two_axes_exit_2(capsys):
+    code, _, err = run_cli(
+        capsys, "evaluate", "--case", "case1", "--notation", "postfix",
+        "--expr", "x", "--mesh", "10,10",
+    )
+    assert code == 2
+    assert "mesh must be nx,ny,nt" in err
+
+
 def test_evaluate_binding(capsys):
     code, out, _ = run_cli(
         capsys, "evaluate", "--case", "case1", "--notation", "prefix",

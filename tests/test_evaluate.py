@@ -556,10 +556,10 @@ def test_program_writes_only_values_it_made(alpha1_opt):
     e = parsed("x y * t * sin C x * +")
     plan = ScoringPlan(e, ObjectiveConfig(threshold=0.0))
     first = plan.score(case, data, matrix[0])
-    totals = plan.totals(case, data, matrix)
+    totals = np.fromiter(plan.totals(case, data, matrix), float)
     kept = [(key, grid.values.tobytes()) for key, (_, grid) in plan._grids.items()]
     assert ("t", id(data)) in plan._grids  # dT/dt has no C, so its grid is kept
-    assert plan.totals(case, data, matrix).tobytes() == totals.tobytes()
+    assert np.fromiter(plan.totals(case, data, matrix), float).tobytes() == totals.tobytes()
     assert plan.score(case, data, matrix[0]) == first
     assert np.isfinite(totals).all()
     assert [(key, grid.values.tobytes()) for key, (_, grid) in plan._grids.items()] == kept
@@ -748,7 +748,7 @@ def test_scoring_never_hands_out_a_live_grid(case1, alpha1_opt, monkeypatch, sma
         if e.n_slots:
             vectors = np.array([[rng.uniform(-2, 2) for _ in range(e.n_slots)]
                                 for _ in range(5)])
-            totals = plan.totals(case, data, vectors)
+            totals = np.fromiter(plan.totals(case, data, vectors), float)
             assert [plan.score(case, data, v).total for v in vectors] == list(totals)
         elif not plan.score(case, data).gate_rejected:
             kept_by_gate += 1
@@ -830,7 +830,7 @@ def test_buffers_are_reused_and_the_list_stops_growing(case1, alpha1_opt, monkey
             e = sample_complete(rng, NOTATIONS[i % 2], 4, alpha1_opt)
             plan = ScoringPlan(e, ObjectiveConfig(threshold=0.0))
             if e.n_slots:
-                plan.totals(case, data, np.full((3, e.n_slots), 0.75))
+                list(plan.totals(case, data, np.full((3, e.n_slots), 0.75)))
             else:
                 plan.score(case, data)
             # a constant's grid is a stride-0 view, which holds no buffer
@@ -897,13 +897,13 @@ def test_constant_grids_score_as_materialized_grids(case1, alpha1_opt, monkeypat
             consts = vectors[:, :e.n_slots]
             plan = ScoringPlan(e, cfg)
             got = [plan.score(case, data, v) for v in consts]
-            got_totals = ScoringPlan(e, cfg).totals(case, data, consts)
+            got_totals = np.fromiter(ScoringPlan(e, cfg).totals(case, data, consts), float)
             with monkeypatch.context() as patched:
                 patched.setattr(pde, "eval_grid", materialized)
                 constants.clear()
                 plan = ScoringPlan(e, cfg)
                 want = [plan.score(case, data, v) for v in consts]
-                want_totals = ScoringPlan(e, cfg).totals(case, data, consts)
+                want_totals = np.fromiter(ScoringPlan(e, cfg).totals(case, data, consts), float)
             assert any(constants), text
             assert got == want and not any(bd.gate_rejected for bd in got), text
             assert got_totals.tobytes() == want_totals.tobytes(), text

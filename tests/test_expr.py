@@ -317,6 +317,25 @@ def test_parse_unknown_token_position(alpha1):
     assert err.value.position == 1
 
 
+def test_parse_rejects_empty_and_incomplete_input_and_unknown_modes(alpha1):
+    with pytest.raises(ParseError, match="empty expression") as err:
+        parse("  ", Notation.POSTFIX, alpha1)
+    assert err.value.position == 0
+    for text, notation in (("x y", Notation.POSTFIX), ("+ x", Notation.PREFIX)):
+        with pytest.raises(ParseError, match="incomplete expression") as err:
+            parse(text, notation, alpha1)
+        assert err.value.position == 1, text  # the last token
+    with pytest.raises(ValueError, match="unknown parse mode 'loose'"):
+        parse("x", Notation.PREFIX, alpha1, mode="loose")
+
+
+def test_make_expr_rejects_a_sequence_deeper_than_its_budget(alpha1):
+    tokens = parse("x y + t *", Notation.POSTFIX, alpha1).tokens
+    with pytest.raises(ExprError, match="depth 2 exceeds budget 1"):
+        make_expr(tokens, Notation.POSTFIX, 1)
+    assert make_expr(tokens, Notation.POSTFIX, 2).depth == 2
+
+
 def test_parse_free_literal_rejected_in_search_mode(alpha1):
     with pytest.raises(ParseError):
         parse("0.5 x +", Notation.PREFIX, alpha1)

@@ -543,7 +543,7 @@ def test_plan_edge_cases_reach_their_outcome(case1, alpha1_opt, edge):
 def assert_totals_match_score(e, case, data, vectors, cfg):
     """``totals`` gives every row the bytes of ``score(...).total``."""
     vectors = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), e.n_slots)
-    totals = ScoringPlan(e, cfg).totals(case, data, vectors)
+    totals = np.fromiter(ScoringPlan(e, cfg).totals(case, data, vectors), float)
     assert totals.shape == (len(vectors),)
     plan = ScoringPlan(e, cfg)
     for row, vector in enumerate(vectors):
@@ -626,6 +626,33 @@ def test_totals_equal_score_at_50_cubed(alpha1_opt):
         assert np.isfinite(assert_totals_match_score(e, case, data, vectors, NO_GATE)).any()
 
 
+def test_totals_takes_a_batch_when_its_first_total_is_asked_for(case1, alpha1_opt):
+    # a swarm pass is handed to totals as an iterator that moves a particle
+    # when it is taken, so no vector past the batch being read is taken, and
+    # the float error state between totals is the caller's own
+    case, data = case1
+    step = max(1, pde.BATCH_ELEMENTS // data.n)
+    taken = []
+
+    def vectors():
+        for i in range(3 * step):
+            taken.append(i)
+            yield [0.5 + i]
+
+    e = parse("C x * y * t * log", Notation.POSTFIX, alpha1_opt)
+    totals = ScoringPlan(e, NO_GATE).totals(case, data, vectors())
+    errors = np.geterr()
+    assert taken == []
+    got = [next(totals)]
+    assert len(taken) == step and np.geterr() == errors
+    got += [next(totals) for _ in range(step - 1)]
+    assert len(taken) == step
+    got.append(next(totals))
+    assert len(taken) == 2 * step and np.geterr() == errors
+    plan = ScoringPlan(e, NO_GATE)
+    assert got == [plan.score(case, data, [0.5 + i]).total for i in range(step + 1)]
+
+
 # ---------------------------------------------------------------------------
 # the fit's early exit: a plan that rejects every vector before any grid
 
@@ -676,7 +703,8 @@ def test_rejecting_every_vector_is_exact(case1, alpha1_opt, draws):
             st.lists(_EXIT_VALUES, min_size=e.n_slots, max_size=e.n_slots),
             min_size=1, max_size=24))
         vectors = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), e.n_slots)
-        assert np.isinf(ScoringPlan(e, cfg).totals(case, data, vectors)).all(), e.text
+        totals = np.fromiter(ScoringPlan(e, cfg).totals(case, data, vectors), float)
+        assert np.isinf(totals).all(), e.text
         for consts in vectors:
             bd = plan.score(case, data, consts)
             assert bd.gate_rejected and bd == objective(e, case, data, consts, cfg), e.text
@@ -771,7 +799,7 @@ def test_the_literal_zero_rule_agrees_with_the_full_gate(case1, draws):
     def scores():
         plan = ScoringPlan(e, cfg)
         return ([plan.score(case, data, v) for v in vectors],
-                ScoringPlan(e, cfg).totals(case, data, vectors))
+                np.fromiter(ScoringPlan(e, cfg).totals(case, data, vectors), float))
 
     got, got_totals = scores()
     with (mock.patch.object(ScoringPlan, "_zero_at", return_value=False),
@@ -888,7 +916,7 @@ def test_the_gate_reads_a_constant_grid_as_its_contiguous_copy(case1, alpha1_opt
             vectors = np.array([[c] * e.n_slots for c in consts]).reshape(len(consts), e.n_slots)
             plan = ScoringPlan(e)
             out.append(([plan.score(case, data, v) for v in vectors],
-                        ScoringPlan(e).totals(case, data, vectors).tobytes()))
+                        np.fromiter(ScoringPlan(e).totals(case, data, vectors), float).tobytes()))
         return out, list(decisions)
 
     monkeypatch.setattr(ScoringPlan, "_gate_miss", recorded_miss)

@@ -28,7 +28,6 @@ from padesr.search import (
     _crossover,
     _mutate_span,
     fit_constants,
-    pso_minimize,
     run_search,
     select_action,
 )
@@ -55,8 +54,9 @@ def quick_config(algo, **kw):
 # constant fitting
 
 
-def test_pso_minimize_convex_bowl():
-    # derived oracle: objective mean((c*x - 2x)^2) over x in [0, 1]; optimum 2
+def test_const_fit_swarm_minimizes_convex_bowl():
+    # derived oracle: objective mean((c*x - 2x)^2) over x in [0, 1]; optimum 2;
+    # the swarm is swept as a constant fit sweeps it
     xs = [i / 10 for i in range(11)]
 
     def bowl(v):
@@ -64,9 +64,10 @@ def test_pso_minimize_convex_bowl():
 
     hits = 0
     for seed in range(10):
-        best, _ = pso_minimize(lambda vectors: [bowl(v) for v in vectors], 1,
-                               random.Random(seed))
-        if 1.0 <= best[0] <= 3.0:
+        swarm = Swarm(1, CONST_FIT_SWARM, random.Random(seed))
+        for _ in range(CONST_FIT_ITERATIONS + 1):
+            swarm.sweep(lambda vectors: [bowl(v) for v in vectors])
+        if 1.0 <= swarm.gbest[0] <= 3.0:
             hits += 1
     assert hits >= 9
 
@@ -236,27 +237,29 @@ def test_fit_of_a_c_free_gate_miss_runs_the_swarm_to_the_same_result(
         case1, alpha1_opt, monkeypatch):
     # dT/dx is the C-free 0.001, below the default threshold without being
     # the literal 0, and dT/dy and dT/dt hold the C: the early exit leaves it
-    # to the swarm, whose every total is inf, so the fit returns the first
-    # drawn position as the oracle does; no total improves, so each pass takes
-    # every chunk of the batch size ``totals`` scores at once
+    # to the swarm, whose every batch the gate rejects, so the fit returns the
+    # first drawn position as the oracle does; no total improves, so each
+    # pass takes every batch of the size ``totals`` scores at once
     case, data = case1
     e = parse("x 0.001 * C y * t * +", Notation.POSTFIX, alpha1_opt, mode="free")
     cfg = quick_config("rs", seed=5)
     assert not ScoringPlan(e, cfg.objective).rejects_every_vector()
     want, _ = fit_constants_oracle(e, case, data, cfg)
-    passes = []
-    totals = ScoringPlan.totals
+    batches = []
+    gate = ScoringPlan._gate
 
-    def recording(plan, *args):
-        passes.append(totals(plan, *args))
-        return passes[-1]
+    def recording(plan, data, consts, rows=None):
+        verdict = gate(plan, data, consts, rows)
+        if rows is not None:  # once per batch of ``totals``; ``score`` gives no rows
+            batches.append((len(rows), verdict[1] is None))
+        return verdict
 
-    monkeypatch.setattr(ScoringPlan, "totals", recording)
+    monkeypatch.setattr(ScoringPlan, "_gate", recording)
     assert fit_constants(e, case, data, SharedState(), cfg) == want
     step = max(1, BATCH_ELEMENTS // data.n)
-    assert len(passes) == (CONST_FIT_ITERATIONS + 1) * math.ceil(CONST_FIT_SWARM / step) == 18
-    assert [len(p) for p in passes[:3]] == [8, 8, 4]
-    assert all(total == math.inf for p in passes for total in p)
+    assert len(batches) == (CONST_FIT_ITERATIONS + 1) * math.ceil(CONST_FIT_SWARM / step) == 18
+    assert [rows for rows, _ in batches[:3]] == [8, 8, 4]
+    assert all(rejected for _, rejected in batches)
 
 
 def fit_corpus(alphabet, count):
@@ -275,7 +278,7 @@ def fit_corpus(alphabet, count):
 
 
 def chunk_calls(breaks, step):
-    """The ``totals`` calls of a fit whose passes take chunks of ``step``
+    """The ``totals`` batches of a fit whose passes take chunks of ``step``
     positions, handing the rest of a pass again after each of ``breaks``."""
     calls = 0
     for p in range(CONST_FIT_ITERATIONS + 1):
@@ -295,13 +298,14 @@ def test_batched_fit_equals_particle_at_a_time_fit(case1, alpha1_opt, monkeypatc
     case, data = case1
     step = max(1, BATCH_ELEMENTS // data.n)
     calls = []
-    totals = ScoringPlan.totals
+    gate = ScoringPlan._gate
 
-    def counting(plan, *args):
-        calls[-1] += 1
-        return totals(plan, *args)
+    def counting(plan, data, consts, rows=None):
+        if rows is not None:  # once per batch of ``totals``; ``score`` gives no rows
+            calls[-1] += 1
+        return gate(plan, data, consts, rows)
 
-    monkeypatch.setattr(ScoringPlan, "totals", counting)
+    monkeypatch.setattr(ScoringPlan, "_gate", counting)
     for _ in block_sizes:
         replanned = decided_by_gate = 0
         for e, cfg in fit_corpus(alpha1_opt, 240):
@@ -368,6 +372,24 @@ def test_mutants_and_crossover_children_number_slots_in_order(alpha1_opt, notati
     for e in offspring:
         assert const_slots(e) == list(range(e.n_slots)), e
     assert sum(e.n_slots > 1 for e in offspring) >= 10
+
+
+@pytest.mark.parametrize("notation", [Notation.PREFIX, Notation.POSTFIX])
+def test_crossover_without_retries_swaps_one_leaf_for_one_leaf(alpha1_opt, notation,
+                                                              monkeypatch):
+    # no span pair is tried, so every pair takes the leaf-for-leaf fallback
+    monkeypatch.setattr(search, "GP_PAIR_RETRIES", 0)
+    rng = random.Random(7)
+    parents = [sample_complete(rng, notation, rng.randint(0, 4), alpha1_opt) for _ in range(80)]
+    swapped = 0
+    for a, b in zip(parents, parents[1:]):
+        for parent, child in zip((a, b), _crossover(rng, a, b, 4)):
+            assert child.depth <= 4 and len(child.tokens) == len(parent.tokens)
+            changed = [(p, c) for p, c in zip(parent.tokens, child.tokens) if p.text != c.text]
+            assert len(changed) <= 1, (parent.text, child.text)
+            assert all(p.arity == c.arity == 0 for p, c in changed), (parent.text, child.text)
+            swapped += len(changed)
+    assert swapped >= 100
 
 
 # ---------------------------------------------------------------------------
